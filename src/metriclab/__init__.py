@@ -29,7 +29,6 @@ from .batching import (
 from .core import (
     EmbeddingBatch,
     SimMatrix,
-    TripletView,
     cosine_sim,
     euclidean_dist,
     read_sim_matrix_csv,

@@ -1,16 +1,18 @@
-"""PK batch sampling and exhaustive triplet / positive-pair enumeration.
+"""PK batch sampling and the batch-all (anchor, positive, negative) layout.
 
-A PK batch holds N classes with K samples each.  Enumeration is always
-exhaustive ("batch all"): every ordered (anchor, positive) pair combined
-with every sample of a different class.  Order is lexicographic in
-(anchor, positive, negative) row index so downstream reductions are
-reproducible bit for bit.
+A PK batch holds N classes with K samples each.  Mining is exhaustive
+("batch all", Hermans, Beyer & Leibe, arXiv:1703.07737): every ordered
+(anchor, positive) pair with every sample of a different class.
+:func:`anchor_layout` stores that set once per label pattern as padded
+per-anchor blocks of positives and negatives; the flat triplet and
+positive-pair enumerations are views of it in lexicographic (anchor,
+positive, negative) order, so reductions are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,23 +113,67 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True)
+class AnchorLayout:
+    """The batch-all triplets of one label pattern as padded per-anchor blocks.
+
+    Row ``a`` of ``pos_idx`` (B, P) lists the rows sharing a's label, a
+    itself excluded, and row ``a`` of ``neg_idx`` (B, M) the rows with
+    another label, both ascending and padded to the longest row with ``a``
+    itself, where ``pos_mask`` / ``neg_mask`` are False.  ``grid`` (B, P, M)
+    marks the real triplets; ``pos_flat`` / ``neg_flat`` are the blocks as
+    offsets a * B + index into a row-major B x B matrix.
+    """
+
+    pos_idx: np.ndarray
+    pos_mask: np.ndarray
+    neg_idx: np.ndarray
+    neg_mask: np.ndarray
+    grid: np.ndarray
+    pos_flat: np.ndarray
+    neg_flat: np.ndarray
+
+    @cached_property
+    def n_triplets(self) -> int:
+        return int(np.count_nonzero(self.grid))
+
+    @cached_property
+    def n_pairs(self) -> int:
+        return int(np.count_nonzero(self.pos_mask))
+
+
+def _padded_rows(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices of each row's True entries, ascending, padded with the row's own index."""
+    width = int(member.sum(axis=1).max(initial=0))
+    order = np.argsort(~member, axis=1, kind="stable")[:, :width]
+    mask = np.take_along_axis(member, order, axis=1)
+    idx = np.where(mask, order, np.arange(member.shape[0])[:, None])
+    return _freeze(idx.astype(np.int64)), _freeze(mask)
+
+
 @lru_cache(maxsize=64)
-def _enumerate_triplets_cached(key: tuple[int, ...]) -> TripletIndexSet:
+def _anchor_layout_cached(key: tuple[int, ...]) -> AnchorLayout:
     labels = np.asarray(key, dtype=np.int64)
     same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(labels.size, dtype=bool)
-    anchors_ap, positives_ap = np.nonzero(pos_mask)  # row-major: sorted by (a, p)
-    neg_lists = [np.flatnonzero(~same[a]) for a in range(labels.size)]
-    counts = np.array([neg_lists[a].size for a in anchors_ap], dtype=np.int64)
-    if anchors_ap.size and counts.sum() == 0:
-        raise NoNegativesError("batch contains a single class; no triplet has a negative")
-    anchors = np.repeat(anchors_ap, counts)
-    positives = np.repeat(positives_ap, counts)
-    if anchors_ap.size:
-        negatives = np.concatenate([neg_lists[a] for a in anchors_ap])
-    else:
-        negatives = np.empty(0, dtype=np.int64)
-    return TripletIndexSet(_freeze(anchors), _freeze(positives), _freeze(negatives.astype(np.int64)))
+    pos = same & ~np.eye(labels.size, dtype=bool)
+    if pos.any() and same.all():
+        raise NoNegativesError("batch contains a single class; no positive pair has a negative")
+    pos_idx, pos_mask = _padded_rows(pos)
+    neg_idx, neg_mask = _padded_rows(~same)
+    grid = _freeze(pos_mask[:, :, None] & neg_mask[:, None, :])
+    base = np.arange(labels.size)[:, None] * labels.size
+    return AnchorLayout(pos_idx, pos_mask, neg_idx, neg_mask, grid,
+                        _freeze(base + pos_idx), _freeze(base + neg_idx))
+
+
+def anchor_layout(labels) -> AnchorLayout:
+    """Per-anchor positives and negatives of a batch, cached per label pattern.
+
+    Raises NoNegativesError when positives exist but the batch holds only
+    one class.  A batch with no same-class pair at all has P == 0.
+    """
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    return _anchor_layout_cached(_canonical_key(labels))
 
 
 def enumerate_triplets(labels) -> TripletIndexSet:
@@ -136,36 +182,20 @@ def enumerate_triplets(labels) -> TripletIndexSet:
     Raises NoNegativesError when positives exist but the batch holds only
     one class.  A batch with no same-class pair at all yields an empty set.
     """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    return _enumerate_triplets_cached(_canonical_key(labels))
-
-
-@lru_cache(maxsize=64)
-def _enumerate_pos_pairs_cached(key: tuple[int, ...]) -> PosPairSet:
-    labels = np.asarray(key, dtype=np.int64)
-    same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(labels.size, dtype=bool)
-    anchors, positives = np.nonzero(pos_mask)
-    neg_lists = [np.flatnonzero(~same[a]) for a in range(labels.size)]
-    counts = np.array([neg_lists[a].size for a in anchors], dtype=np.int64)
-    if anchors.size and counts.sum() == 0:
-        raise NoNegativesError("batch contains a single class; positive pairs have no negatives")
-    offsets = np.zeros(anchors.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    if anchors.size:
-        neg_rows = np.concatenate([neg_lists[a] for a in anchors])
-    else:
-        neg_rows = np.empty(0, dtype=np.int64)
-    return PosPairSet(
-        _freeze(anchors), _freeze(positives),
-        _freeze(neg_rows.astype(np.int64)), _freeze(offsets),
-    )
+    lay = anchor_layout(labels)
+    anchors, i, j = np.nonzero(lay.grid)  # row-major: sorted by (a, i, j), so by (a, p, n)
+    return TripletIndexSet(_freeze(anchors), _freeze(lay.pos_idx[anchors, i]),
+                           _freeze(lay.neg_idx[anchors, j]))
 
 
 def enumerate_pos_pairs(labels) -> PosPairSet:
     """Every ordered same-class (anchor, positive) pair with all other-class rows as negatives."""
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    return _enumerate_pos_pairs_cached(_canonical_key(labels))
+    lay = anchor_layout(labels)
+    anchors, i = np.nonzero(lay.pos_mask)
+    offsets = np.concatenate(([0], np.cumsum(lay.neg_mask.sum(axis=1)[anchors])))
+    neg_rows = lay.neg_idx[anchors][lay.neg_mask[anchors]]
+    return PosPairSet(_freeze(anchors), _freeze(lay.pos_idx[anchors, i]),
+                      _freeze(neg_rows), _freeze(offsets.astype(np.int64)))
 
 
 def sample_pk(labels, spec: BatchSpec, rng: np.random.Generator) -> np.ndarray:

@@ -30,16 +30,7 @@ from .batching import BatchSpec, enumerate_pos_pairs, enumerate_triplets, sample
 from .core import EmbeddingBatch, euclidean_dist
 from .errors import InvalidConfigError
 from .evaluation import GalleryProbeSplit, build_geometry_report, rank1, snapshot_sim_matrix
-from .losses import (
-    ClassifierHead,
-    LossConfig,
-    ce_loss,
-    combined_loss,
-    m_simce_loss,
-    s_triplet_loss,
-    simce_loss,
-    triplet_loss,
-)
+from .losses import LOSSES, ClassifierHead, LossConfig
 from .synth import DatasetSpec, VmfParams, estimate_kappa, gen_dataset, sample_vmf, vmf_density, write_dataset_csv
 from .training import (
     TrainConfig,
@@ -54,7 +45,7 @@ GRADCHECK_TOLERANCE = 1e-6
 TRACE_TOLERANCE = 1e-3
 ROBUSTNESS_TOLERANCE = 0.05
 
-LOSS_NAMES = ("triplet", "s_triplet", "simce", "m_simce", "ce", "combined_simce", "combined_m_simce")
+LOSS_NAMES = tuple(LOSSES)
 
 
 class UsageError(Exception):
@@ -170,21 +161,10 @@ def _emit_report(args, subcommand: str, payload: dict, report: dict) -> None:
 
 
 def _loss_callable(name: str, cfg: LossConfig, head: ClassifierHead):
-    if name == "triplet":
-        return lambda b: triplet_loss(b, cfg)
-    if name == "s_triplet":
-        return lambda b: s_triplet_loss(b, cfg)
-    if name == "simce":
-        return lambda b: simce_loss(b, cfg)
-    if name == "m_simce":
-        return lambda b: m_simce_loss(b, cfg)
-    if name == "ce":
-        return lambda b: ce_loss(b, head)
-    if name == "combined_simce":
-        return lambda b: combined_loss(b, head, cfg, "simce")
-    if name == "combined_m_simce":
-        return lambda b: combined_loss(b, head, cfg, "m_simce")
-    raise InvalidConfigError(f"unknown loss {name!r}; pick from {LOSS_NAMES}")
+    if name not in LOSSES:
+        raise InvalidConfigError(f"unknown loss {name!r}; pick from {LOSS_NAMES}")
+    loss = LOSSES[name]
+    return lambda b: loss(b, cfg, head)
 
 
 def _cmd_gradcheck(args) -> int:

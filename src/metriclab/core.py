@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .batching import BatchSpec
-from .errors import DegenerateVectorError, DimensionMismatchError
+from .errors import DegenerateVectorError, DimensionMismatchError, NonFiniteError
 
 SIM_KINDS = ("cosine", "cosine_over_max")
 
@@ -37,7 +37,7 @@ class EmbeddingBatch:
                 f"{labels.shape[0]} labels for {data.shape[0]} embedding rows"
             )
         if not np.all(np.isfinite(data)):
-            raise ValueError("embedding batch contains non-finite entries")
+            raise NonFiniteError("embedding batch contains non-finite entries")
         if self.batch_spec is not None:
             spec = self.batch_spec
             if data.shape[0] != spec.batch_size:
@@ -59,47 +59,6 @@ class EmbeddingBatch:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class TripletView:
-    """One (anchor, positive, negative) triple of row indices into a batch."""
-
-    batch: EmbeddingBatch
-    anchor_idx: int
-    pos_idx: int
-    neg_idx: int
-
-    def __post_init__(self):
-        labels = self.batch.labels
-        if self.anchor_idx == self.pos_idx:
-            raise ValueError("anchor and positive must be distinct rows")
-        if labels[self.anchor_idx] != labels[self.pos_idx]:
-            raise ValueError("positive must carry the anchor's label")
-        if labels[self.anchor_idx] == labels[self.neg_idx]:
-            raise ValueError("negative must carry a different label")
-
-    @property
-    def anchor(self) -> np.ndarray:
-        return self.batch.data[self.anchor_idx]
-
-    @property
-    def positive(self) -> np.ndarray:
-        return self.batch.data[self.pos_idx]
-
-    @property
-    def negative(self) -> np.ndarray:
-        return self.batch.data[self.neg_idx]
-
-    @property
-    def u(self) -> np.ndarray:
-        """Anchor minus positive."""
-        return self.anchor - self.positive
-
-    @property
-    def v(self) -> np.ndarray:
-        """Anchor minus negative."""
-        return self.anchor - self.negative
 
 
 @dataclass(frozen=True)

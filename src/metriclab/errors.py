@@ -6,6 +6,10 @@ mid-computation derive from RuntimeError.
 """
 
 
+class NonFiniteError(ValueError):
+    """An embedding, loss value or gradient holds inf or NaN."""
+
+
 class DimensionMismatchError(ValueError):
     """Vector or matrix shapes do not agree."""
 

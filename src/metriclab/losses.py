@@ -2,26 +2,29 @@
 
 Every loss maps an :class:`~metriclab.core.EmbeddingBatch` to a
 :class:`LossResult` whose ``grad`` is the exact derivative of the reduced
-scalar with respect to the batch matrix.  No autodiff anywhere: each
-gradient is assembled from per-triplet coefficients scattered into a B x B
-matrix and pushed through one of three closed-form chain rules (distance,
-raw inner product, cosine).
+scalar with respect to the batch matrix.  No autodiff anywhere.  The pair
+losses gather anchor-positive (B, P) and anchor-negative (B, M) blocks of
+the batch's :class:`~metriclab.batching.AnchorLayout` from one shared
+:class:`BatchGeometry`, sum each term's weights over the other axis into
+one coefficient per pair, and push the B x B coefficient matrix through one
+of three closed-form chain rules (distance, raw inner product, cosine).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
-from .batching import enumerate_pos_pairs, enumerate_triplets
+from .batching import anchor_layout
 from .core import EmbeddingBatch, similarity_matrix
 from .errors import (
     DegenerateVectorError,
     DimensionMismatchError,
     InvalidConfigError,
     InvalidLabelError,
+    NonFiniteError,
 )
 
 REDUCTIONS = ("mean_over_nonzero", "mean_over_all")
@@ -75,9 +78,9 @@ class LossResult:
         if not (0 <= self.n_non <= self.n_total):
             raise ValueError(f"n_non={self.n_non} outside [0, n_total={self.n_total}]")
         if not np.isfinite(self.value):
-            raise ValueError("loss value is non-finite")
+            raise NonFiniteError("loss value is non-finite")
         if not np.all(np.isfinite(self.grad)):
-            raise ValueError("loss gradient contains non-finite entries")
+            raise NonFiniteError("loss gradient contains non-finite entries")
 
 
 @dataclass
@@ -128,20 +131,65 @@ def weight_from_sim(s):
 
 
 # ---------------------------------------------------------------------------
-# gradient assembly helpers
+# batch geometry and gradient assembly
 
 
-def _pairwise_dist(X: np.ndarray) -> np.ndarray:
-    # explicit differences, not the Gram shortcut: near-identical rows would
-    # otherwise lose half the mantissa to cancellation and spoil the
-    # finite-difference agreement the analysis layer checks for
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+class BatchGeometry:
+    """Pairwise geometry of one batch, computed once and shared by the loss terms.
 
+    Each piece is computed on first use, so a distance-only term accepts zero-norm rows.
+    """
 
-def _scatter(size: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    flat = rows.astype(np.int64) * size + cols.astype(np.int64)
-    return np.bincount(flat, weights=weights, minlength=size * size).reshape(size, size)
+    def __init__(self, batch: EmbeddingBatch):
+        self.batch = batch
+        self.layout = anchor_layout(batch.labels)
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        # explicit differences, not the Gram shortcut: near-identical rows would
+        # otherwise lose half the mantissa to cancellation and spoil the
+        # finite-difference agreement the analysis layer checks for
+        diff = self.batch.data[:, None, :] - self.batch.data[None, :, :]
+        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+    @cached_property
+    def unit_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        norms = np.linalg.norm(self.batch.data, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise DegenerateVectorError(f"row {zero[0]} has zero norm; cosine scores are undefined")
+        return self.batch.data / norms[:, None], norms
+
+    @cached_property
+    def sim(self) -> np.ndarray:
+        return similarity_matrix(self.batch).values
+
+    def scores(self, cfg: LossConfig) -> np.ndarray:
+        """Score matrix of the contrastive losses: cosines or raw inner products."""
+        if cfg.normalize_for_simce:
+            return self.sim
+        return self.batch.data @ self.batch.data.T
+
+    def score_grad(self, C: np.ndarray, cfg: LossConfig) -> np.ndarray:
+        if cfg.normalize_for_simce:
+            return _grad_from_cos(C, *self.unit_norms, self.sim)
+        return (C + C.T) @ self.batch.data
+
+    def blocks(self, pairwise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """pairwise[a, positives of a] as (B, P) and pairwise[a, negatives of a] as (B, M)."""
+        flat = pairwise.ravel()
+        return flat[self.layout.pos_flat], flat[self.layout.neg_flat]
+
+    def coefficients(self, c_pos: np.ndarray, c_neg: np.ndarray) -> np.ndarray:
+        """B x B matrix with c_pos and c_neg put back at the layout's (a, p) and (a, n).
+
+        Padding slots point at the diagonal and must carry zero, so it stays zero.
+        """
+        C = np.zeros((self.batch.size, self.batch.size))
+        flat = C.ravel()  # a view: C is contiguous
+        flat[self.layout.pos_flat] = c_pos
+        flat[self.layout.neg_flat] = c_neg
+        return C
 
 
 def _grad_from_dist(C: np.ndarray, X: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -155,57 +203,45 @@ def _grad_from_dist(C: np.ndarray, X: np.ndarray, D: np.ndarray) -> np.ndarray:
     return M.sum(axis=1)[:, None] * X - M @ X
 
 
-def _grad_from_gram(C: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Gradient of sum_ij C_ij * <x_i, x_j>."""
-    return (C + C.T) @ X
-
-
-def _grad_from_cos(C: np.ndarray, unit: np.ndarray, S: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _grad_from_cos(C: np.ndarray, unit: np.ndarray, norms: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Gradient of sum_ij C_ij * S_ij with S the cosine matrix (C diagonal must be zero)."""
     R = C + C.T
     return (R @ unit - (R * S).sum(axis=1)[:, None] * unit) / norms[:, None]
 
 
-def _denom(reduction: str, n_non: int, n_total: int) -> float:
-    if reduction == "mean_over_nonzero":
-        return float(max(n_non, 1))
-    return float(max(n_total, 1))
-
-
-def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(X, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateVectorError(f"row {zero[0]} has zero norm; cosine scores are undefined")
-    return X / norms[:, None], norms
+def _hinge(geo: BatchGeometry, cfg: LossConfig, ap: np.ndarray, an: np.ndarray):
+    """Reduced relu(margin + ap[a, p] - an[a, n]) over the batch's triplets: the value,
+    the weight each (a, p) and (a, n) collects from its active triplets, n_non, n_total."""
+    h = cfg.margin + ap[:, :, None] - an[:, None, :]
+    active = (h > 0.0) & geo.layout.grid
+    n_non = int(np.count_nonzero(active))
+    n_total = geo.layout.n_triplets
+    denom = float(max(n_non if cfg.reduction == "mean_over_nonzero" else n_total, 1))
+    # h[active] is in lexicographic (a, p, n) order, the order of the flat enumeration
+    value = float(h[active].sum() / denom)
+    return value, active.sum(axis=2) / denom, active.sum(axis=1) / denom, n_non, n_total
 
 
 # ---------------------------------------------------------------------------
 # losses
 
 
-def triplet_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
+def triplet_loss(batch: EmbeddingBatch, cfg: LossConfig,
+                 geometry: BatchGeometry | None = None) -> LossResult:
     """Batch-all margin triplet loss on Euclidean distances.
 
-    Per triplet: relu(margin + d(a, p) - d(a, n)).
+    Per triplet: relu(margin + d(a, p) - d(a, n)).  ``geometry`` is the
+    batch's shared geometry when another term already built it.
     """
-    tri = enumerate_triplets(batch.labels)
-    X = batch.data
-    D = _pairwise_dist(X)
-    a, p, n = tri.anchors, tri.positives, tri.negatives
-    h = cfg.margin + D[a, p] - D[a, n]
-    active = h > 0.0
-    n_non = int(np.count_nonzero(active))
-    n_total = len(tri)
-    denom = _denom(cfg.reduction, n_non, n_total)
-    value = float(h[active].sum() / denom)
-    lam = active.astype(np.float64) / denom
-    C = _scatter(batch.size, a, p, lam) - _scatter(batch.size, a, n, lam)
-    grad = _grad_from_dist(C, X, D)
+    geo = geometry or BatchGeometry(batch)
+    d_ap, d_an = geo.blocks(geo.dist)
+    value, lam_p, lam_n, n_non, n_total = _hinge(geo, cfg, d_ap, d_an)
+    grad = _grad_from_dist(geo.coefficients(lam_p, -lam_n), batch.data, geo.dist)
     return LossResult(value=value, grad=grad, n_non=n_non, n_total=n_total)
 
 
-def s_triplet_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
+def s_triplet_loss(batch: EmbeddingBatch, cfg: LossConfig,
+                   geometry: BatchGeometry | None = None) -> LossResult:
     """Similarity-weighted triplet loss.
 
     Each distance is scaled by (1 - cos) / 2 of its pair before entering the
@@ -213,94 +249,74 @@ def s_triplet_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
     negatives push hardest.  Unless cfg.detach_similarity is set, the
     gradient also flows through the cosine weights themselves.
     """
-    tri = enumerate_triplets(batch.labels)
-    X = batch.data
-    D = _pairwise_dist(X)
-    S = similarity_matrix(batch).values
-    unit, norms = _unit_rows(X)
-    a, p, n = tri.anchors, tri.positives, tri.negatives
-    w_ap = weight_from_sim(S[a, p])
-    w_an = weight_from_sim(S[a, n])
-    h = cfg.margin + w_ap * D[a, p] - w_an * D[a, n]
-    active = h > 0.0
-    n_non = int(np.count_nonzero(active))
-    n_total = len(tri)
-    denom = _denom(cfg.reduction, n_non, n_total)
-    value = float(h[active].sum() / denom)
-    lam = active.astype(np.float64) / denom
-    Cd = _scatter(batch.size, a, p, lam * w_ap) - _scatter(batch.size, a, n, lam * w_an)
-    grad = _grad_from_dist(Cd, X, D)
+    geo = geometry or BatchGeometry(batch)
+    d_ap, d_an = geo.blocks(geo.dist)
+    s_ap, s_an = geo.blocks(geo.sim)
+    w_ap, w_an = weight_from_sim(s_ap), weight_from_sim(s_an)
+    value, lam_p, lam_n, n_non, n_total = _hinge(geo, cfg, w_ap * d_ap, w_an * d_an)
+    grad = _grad_from_dist(geo.coefficients(lam_p * w_ap, -lam_n * w_an), batch.data, geo.dist)
     if not cfg.detach_similarity:
         # dw/dS = -1/2, with the distances held as multipliers
-        Cs = _scatter(batch.size, a, n, 0.5 * lam * D[a, n]) - _scatter(batch.size, a, p, 0.5 * lam * D[a, p])
-        grad = grad + _grad_from_cos(Cs, unit, S, norms)
+        Cs = geo.coefficients(-0.5 * lam_p * d_ap, 0.5 * lam_n * d_an)
+        grad = grad + _grad_from_cos(Cs, *geo.unit_norms, geo.sim)
     return LossResult(value=value, grad=grad, n_non=n_non, n_total=n_total)
 
 
-def _scores(batch: EmbeddingBatch, cfg: LossConfig):
-    """Score matrix for the contrastive losses plus what the chain rule needs."""
-    X = batch.data
-    if cfg.normalize_for_simce:
-        unit, norms = _unit_rows(X)
-        return unit @ unit.T, unit, norms
-    return X @ X.T, None, None
-
-
-def _score_grad(C, batch, cfg, G, unit, norms):
-    if cfg.normalize_for_simce:
-        return _grad_from_cos(C, unit, G, norms)
-    return _grad_from_gram(C, batch.data)
-
-
-def simce_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
+def simce_loss(batch: EmbeddingBatch, cfg: LossConfig,
+               geometry: BatchGeometry | None = None) -> LossResult:
     """Two-way softmax cross entropy per triplet on anchor inner products.
 
     Per triplet: -log(e^{<a,p>/T} / (e^{<a,p>/T} + e^{<a,n>/T})), which is
     softplus((<a,n> - <a,p>) / T), averaged over all triplets.  Every
     triplet contributes, so n_non == n_total.
     """
-    tri = enumerate_triplets(batch.labels)
-    G, unit, norms = _scores(batch, cfg)
-    a, p, n = tri.anchors, tri.positives, tri.negatives
-    n_total = len(tri)
-    z = (G[a, n] - G[a, p]) / cfg.temperature
-    value = float(np.logaddexp(0.0, z).sum() / max(n_total, 1))
-    lam = expit(z) / (cfg.temperature * max(n_total, 1))
-    C = _scatter(batch.size, a, n, lam) - _scatter(batch.size, a, p, lam)
-    grad = _score_grad(C, batch, cfg, G, unit, norms)
+    geo = geometry or BatchGeometry(batch)
+    g_ap, g_an = geo.blocks(geo.scores(cfg))
+    grid = geo.layout.grid
+    n_total = geo.layout.n_triplets
+    scale = cfg.temperature * max(n_total, 1)
+    z = (g_an[:, None, :] - g_ap[:, :, None]) / cfg.temperature
+    # softplus(z) = max(z, 0) + log1p(e) and sigmoid(z) from e = exp(-|z|),
+    # which cannot overflow; one exp where logaddexp + expit cost several
+    e = np.exp(-np.abs(z))
+    value = float((np.maximum(z, 0.0) + np.log1p(e)).sum(where=grid) / max(n_total, 1))
+    lam = np.where(grid, np.where(z >= 0.0, 1.0, e) / (1.0 + e), 0.0)
+    grad = geo.score_grad(geo.coefficients(-lam.sum(axis=2) / scale, lam.sum(axis=1) / scale), cfg)
     return LossResult(value=value, grad=grad, n_non=n_total, n_total=n_total)
 
 
-def m_simce_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
+def m_simce_loss(batch: EmbeddingBatch, cfg: LossConfig,
+                 geometry: BatchGeometry | None = None) -> LossResult:
     """Multi-negative softmax cross entropy per positive pair.
 
     Per ordered pair (a, p): -log(e^{<a,p>/T} / (e^{<a,p>/T} +
     sum_k e^{<a,n_k>/T})) with every other-class row of the batch as a
-    negative, averaged over pairs.  Log-sum-exp is max-shifted, so scores up
-    to about 700 in magnitude stay finite.
+    negative, averaged over pairs.  The negatives' sum depends on the
+    anchor only, so it is taken once per anchor and rescaled per pair.
+    Log-sum-exp is max-shifted, so scores up to about 700 in magnitude stay
+    finite.
     """
-    pairs = enumerate_pos_pairs(batch.labels)
-    G, unit, norms = _scores(batch, cfg)
-    n_pairs = len(pairs)
+    geo = geometry or BatchGeometry(batch)
+    lay = geo.layout
+    n_pairs = lay.n_pairs
     if n_pairs == 0:
         return LossResult(0.0, np.zeros_like(batch.data), 0, 0)
-    counts = np.diff(pairs.neg_offsets)
-    flat_anchor = np.repeat(pairs.anchors, counts)
-    sp = G[pairs.anchors, pairs.positives] / cfg.temperature
-    sn = G[flat_anchor, pairs.neg_rows] / cfg.temperature
-    starts = pairs.neg_offsets[:-1]
-    shift = np.maximum(sp, np.maximum.reduceat(sn, starts))
+    g_ap, g_an = geo.blocks(geo.scores(cfg))
+    sp = g_ap / cfg.temperature
+    # every anchor has a negative here: positives exist, so two classes do
+    sn = np.where(lay.neg_mask, g_an / cfg.temperature, -np.inf)
+    shift_a = sn.max(axis=1, keepdims=True)
+    e_sn = np.exp(sn - shift_a)
+    shift = np.maximum(sp, shift_a)
     e_sp = np.exp(sp - shift)
-    e_sn = np.exp(sn - np.repeat(shift, counts))
-    total = e_sp + np.add.reduceat(e_sn, starts)
-    value = float((np.log(total) + shift - sp).sum() / n_pairs)
-    alpha_p = e_sp / total
-    alpha_n = e_sn / np.repeat(total, counts)
-    lam_p = (alpha_p - 1.0) / (cfg.temperature * n_pairs)
-    lam_n = alpha_n / (cfg.temperature * n_pairs)
-    C = _scatter(batch.size, pairs.anchors, pairs.positives, lam_p)
-    C += _scatter(batch.size, flat_anchor, pairs.neg_rows, lam_n)
-    grad = _score_grad(C, batch, cfg, G, unit, norms)
+    rescale = np.exp(shift_a - shift)
+    total = e_sp + rescale * e_sn.sum(axis=1, keepdims=True)
+    per_pair = np.log(total) + shift - sp
+    value = float(per_pair[lay.pos_mask].sum() / n_pairs)
+    scale = cfg.temperature * n_pairs
+    c_pos = np.where(lay.pos_mask, e_sp / total - 1.0, 0.0) / scale
+    c_neg = e_sn * np.where(lay.pos_mask, rescale / total, 0.0).sum(axis=1, keepdims=True) / scale
+    grad = geo.score_grad(geo.coefficients(c_pos, c_neg), cfg)
     return LossResult(value=value, grad=grad, n_non=n_pairs, n_total=n_pairs)
 
 
@@ -343,9 +359,10 @@ def combined_loss(batch: EmbeddingBatch, head: ClassifierHead, cfg: LossConfig,
     """
     if variant not in COMBINED_VARIANTS:
         raise InvalidConfigError(f"variant must be one of {COMBINED_VARIANTS}, got {variant!r}")
-    hinge = s_triplet_loss(batch, cfg)
+    geo = BatchGeometry(batch)
+    hinge = s_triplet_loss(batch, cfg, geo)
     ce = ce_loss(batch, head)
-    contrastive = simce_loss(batch, cfg) if variant == "simce" else m_simce_loss(batch, cfg)
+    contrastive = (simce_loss if variant == "simce" else m_simce_loss)(batch, cfg, geo)
     return LossResult(
         value=hinge.value + ce.value + contrastive.value,
         grad=hinge.grad + ce.grad + contrastive.grad,
@@ -354,3 +371,16 @@ def combined_loss(batch: EmbeddingBatch, head: ClassifierHead, cfg: LossConfig,
         head_grad_weight=ce.head_grad_weight,
         head_grad_bias=ce.head_grad_bias,
     )
+
+
+# Every loss by name, called as LOSSES[name](batch, cfg, head).  Entries look
+# the functions up when called, so wrappers installed on these names see them.
+LOSSES = {
+    "triplet": lambda batch, cfg, head: triplet_loss(batch, cfg),
+    "s_triplet": lambda batch, cfg, head: s_triplet_loss(batch, cfg),
+    "simce": lambda batch, cfg, head: simce_loss(batch, cfg),
+    "m_simce": lambda batch, cfg, head: m_simce_loss(batch, cfg),
+    "ce": lambda batch, cfg, head: ce_loss(batch, head),
+    "combined_simce": lambda batch, cfg, head: combined_loss(batch, head, cfg, "simce"),
+    "combined_m_simce": lambda batch, cfg, head: combined_loss(batch, head, cfg, "m_simce"),
+}

@@ -18,12 +18,15 @@ import numpy as np
 
 from .batching import BatchSpec, sample_pk
 from .core import EmbeddingBatch
-from .errors import DimensionMismatchError, DivergenceError, InvalidConfigError
+from .errors import DimensionMismatchError, DivergenceError, InvalidConfigError, NonFiniteError
 from .evaluation import METRICS, GalleryProbeSplit, build_geometry_report, rank1
-from .losses import ClassifierHead, LossConfig, combined_loss, triplet_loss
+from .losses import LOSSES, ClassifierHead, LossConfig
 from .synth import DatasetSpec, gen_dataset
 
-TRAIN_VARIANTS = ("triplet_only", "combined_simce", "combined_m_simce")
+# training variant -> the LOSSES entry it trains on
+_VARIANT_LOSSES = {"triplet_only": "triplet", "combined_simce": "combined_simce",
+                   "combined_m_simce": "combined_m_simce"}
+TRAIN_VARIANTS = tuple(_VARIANT_LOSSES)
 
 
 @dataclass
@@ -346,12 +349,7 @@ def holdout_split(labels, fraction: float, rng: np.random.Generator):
 def _loss_and_grads(model: ModelParams, features, labels, batch_spec, loss_cfg, variant):
     embeddings, cache = _forward_cached(model, features)
     batch = EmbeddingBatch(embeddings, labels, batch_spec)
-    if variant == "triplet_only":
-        result = triplet_loss(batch, loss_cfg)
-    elif variant == "combined_simce":
-        result = combined_loss(batch, model.head, loss_cfg, "simce")
-    else:
-        result = combined_loss(batch, model.head, loss_cfg, "m_simce")
+    result = LOSSES[_VARIANT_LOSSES[variant]](batch, loss_cfg, model.head)
     grads = _backward(model, cache, result.grad)
     zeros = lambda a: np.zeros_like(a)  # noqa: E731 - tiny local alias
     grads["head_weight"] = (result.head_grad_weight
@@ -414,7 +412,7 @@ def run_training(config: TrainConfig, snapshot_iters=(), snapshot_rows=None):
             result, grads = _loss_and_grads(
                 model, dataset.features[rows], dataset.labels[rows],
                 config.batch, config.loss, config.variant)
-        except ValueError as exc:
+        except NonFiniteError as exc:
             raise DivergenceError(f"non-finite loss at iteration {step}: {exc}") from exc
         sgd_update(params, grads, state, lr)
         losses.append(result.value)

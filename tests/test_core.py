@@ -1,4 +1,4 @@
-"""Containers and kernels: embedding batches, triplet views, similarity matrices.
+"""Containers and kernels: embedding batches and similarity matrices.
 
 Each test class covers one type or kernel.  Derived values are checked
 against independent brute-force recomputations inside the tests; exact
@@ -14,7 +14,6 @@ from metriclab import (
     BatchSpec,
     EmbeddingBatch,
     SimMatrix,
-    TripletView,
     cosine_sim,
     euclidean_dist,
     read_sim_matrix_csv,
@@ -112,31 +111,6 @@ class TestEmbeddingBatch:
     def test_rejects_one_dimensional_data(self):
         with pytest.raises(ValueError):
             EmbeddingBatch(np.zeros(4), np.array([0, 0, 1, 1]))
-
-
-class TestTripletView:
-    def test_difference_vectors(self):
-        """u = anchor - positive and v = anchor - negative, componentwise."""
-        data = np.array([[1.0, 2.0], [0.5, 0.0], [-1.0, 1.0]])
-        batch = EmbeddingBatch(data, np.array([0, 0, 1]))
-        view = TripletView(batch, 0, 1, 2)
-        np.testing.assert_array_equal(view.u, data[0] - data[1])
-        np.testing.assert_array_equal(view.v, data[0] - data[2])
-
-    def test_anchor_positive_must_differ(self):
-        batch = EmbeddingBatch(np.eye(3), np.array([0, 0, 1]))
-        with pytest.raises(ValueError):
-            TripletView(batch, 0, 0, 2)
-
-    def test_positive_label_must_match(self):
-        batch = EmbeddingBatch(np.eye(3), np.array([0, 0, 1]))
-        with pytest.raises(ValueError):
-            TripletView(batch, 0, 2, 1)
-
-    def test_negative_label_must_differ(self):
-        batch = EmbeddingBatch(np.eye(3), np.array([0, 0, 1]))
-        with pytest.raises(ValueError):
-            TripletView(batch, 0, 1, 1)
 
 
 class TestSimilarityMatrix:

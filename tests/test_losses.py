@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from metriclab import (
     BatchSpec,
@@ -22,8 +24,6 @@ from metriclab import (
     ce_loss,
     combined_loss,
     cosine_sim,
-    enumerate_pos_pairs,
-    enumerate_triplets,
     m_simce_loss,
     s_triplet_loss,
     sample_gradcheck_batch,
@@ -32,31 +32,52 @@ from metriclab import (
     weight_from_sim,
 )
 from metriclab.errors import InvalidConfigError, InvalidLabelError, NoNegativesError
+from metriclab.losses import COMBINED_VARIANTS, REDUCTIONS
 
 
 # ---------------------------------------------------------------------------
 # brute-force reference implementations (independent of the library's
-# vectorized paths; plain loops over enumerated triplets/pairs)
+# vectorized paths and of its enumeration: plain loops over the labels)
+
+
+def _brute_triplets(labels):
+    """Every (a, p, n) with a != p, label(p) == label(a) != label(n), lexicographically."""
+    size = len(labels)
+    return [(a, p, n) for a in range(size) for p in range(size) for n in range(size)
+            if a != p and labels[a] == labels[p] and labels[n] != labels[a]]
+
+
+def _brute_pairs(labels):
+    """Every ordered same-class (a, p) with the rows of other labels as negatives."""
+    size = len(labels)
+    return [(a, p, [n for n in range(size) if labels[n] != labels[a]])
+            for a in range(size) for p in range(size) if a != p and labels[a] == labels[p]]
+
+
+def _hinge_args(data, labels, cfg, weighted=False, weights_from=None):
+    """margin + w_ap d(a, p) - w_an d(a, n) per triplet, before the relu.
+
+    Unweighted, w == 1.  Weighted, w = (1 - cos) / 2 of the pair, read from
+    ``weights_from`` when given (weights frozen there) and from ``data``
+    otherwise.
+    """
+    wdata = data if weights_from is None else weights_from
+    args = []
+    for a, p, n in _brute_triplets(labels):
+        w_ap = weight_from_sim(cosine_sim(wdata[a], wdata[p])) if weighted else 1.0
+        w_an = weight_from_sim(cosine_sim(wdata[a], wdata[n])) if weighted else 1.0
+        d_ap = np.linalg.norm(data[a] - data[p])
+        d_an = np.linalg.norm(data[a] - data[n])
+        args.append(cfg.margin + w_ap * d_ap - w_an * d_an)
+    return np.array(args)
 
 
 def _plain_hinge_terms(data, labels, cfg):
-    terms = []
-    for a, p, n in enumerate_triplets(labels).as_tuples():
-        d_ap = np.linalg.norm(data[a] - data[p])
-        d_an = np.linalg.norm(data[a] - data[n])
-        terms.append(max(0.0, cfg.margin + d_ap - d_an))
-    return np.array(terms)
+    return np.maximum(_hinge_args(data, labels, cfg), 0.0)
 
 
 def _weighted_hinge_terms(data, labels, cfg):
-    terms = []
-    for a, p, n in enumerate_triplets(labels).as_tuples():
-        w_ap = weight_from_sim(cosine_sim(data[a], data[p]))
-        w_an = weight_from_sim(cosine_sim(data[a], data[n]))
-        d_ap = np.linalg.norm(data[a] - data[p])
-        d_an = np.linalg.norm(data[a] - data[n])
-        terms.append(max(0.0, cfg.margin + w_ap * d_ap - w_an * d_an))
-    return np.array(terms)
+    return np.maximum(_hinge_args(data, labels, cfg, weighted=True), 0.0)
 
 
 def _reduce(terms, cfg):
@@ -69,7 +90,7 @@ def _reduce(terms, cfg):
 def _simce_terms(data, labels, cfg):
     rows = data / np.linalg.norm(data, axis=1, keepdims=True) if cfg.normalize_for_simce else data
     terms = []
-    for a, p, n in enumerate_triplets(labels).as_tuples():
+    for a, p, n in _brute_triplets(labels):
         z = (rows[a] @ rows[n] - rows[a] @ rows[p]) / cfg.temperature
         terms.append(np.logaddexp(0.0, z))
     return np.array(terms)
@@ -78,7 +99,7 @@ def _simce_terms(data, labels, cfg):
 def _m_simce_terms(data, labels, cfg):
     rows = data / np.linalg.norm(data, axis=1, keepdims=True) if cfg.normalize_for_simce else data
     terms = []
-    for a, p, negs in enumerate_pos_pairs(labels).pairs():
+    for a, p, negs in _brute_pairs(labels):
         sp = rows[a] @ rows[p] / cfg.temperature
         sn = np.array([rows[a] @ rows[k] / cfg.temperature for k in negs])
         m = max(sp, sn.max())
@@ -254,7 +275,7 @@ class TestSTripletLoss:
         batch = sample_gradcheck_batch(rng, 2, 2, 6, cfg)
         base = batch.data
         labels = batch.labels
-        triplets = enumerate_triplets(labels).as_tuples()
+        triplets = _brute_triplets(labels)
         frozen_w = [
             (weight_from_sim(cosine_sim(base[a], base[p])),
              weight_from_sim(cosine_sim(base[a], base[n])))
@@ -576,3 +597,102 @@ class TestLossConfigAndResult:
         grad[0, 0] = np.inf
         with pytest.raises(ValueError):
             LossResult(value=0.0, grad=grad, n_non=0, n_total=1)
+
+
+class TestNoPositivePair:
+    """A batch of singleton classes has no triplet and no positive pair."""
+
+    def _batch(self):
+        return EmbeddingBatch(np.random.default_rng(91).standard_normal((3, 4)), [0, 1, 2])
+
+    @pytest.mark.parametrize("loss", [triplet_loss, s_triplet_loss, simce_loss, m_simce_loss])
+    def test_pair_losses_are_zero(self, loss):
+        result = loss(self._batch(), LossConfig())
+        assert result.value == 0.0
+        assert result.n_non == result.n_total == 0
+        np.testing.assert_array_equal(result.grad, 0.0)
+
+    @pytest.mark.parametrize("variant", COMBINED_VARIANTS)
+    def test_combined_loss_reduces_to_ce(self, variant):
+        batch = self._batch()
+        head = ClassifierHead.init(np.random.default_rng(92), n_classes=3, dim=4)
+        result = combined_loss(batch, head, LossConfig(), variant)
+        ce = ce_loss(batch, head)
+        assert result.value == ce.value
+        assert result.n_non == result.n_total == 0
+        np.testing.assert_array_equal(result.grad, ce.grad)
+
+
+# ---------------------------------------------------------------------------
+# property tests: every pair loss against the loop oracles above on
+# arbitrary label layouts (unbalanced, shuffled, singleton classes, no
+# positive pair at all), both reductions and every flag
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PAIR_LOSSES = {"triplet": triplet_loss, "s_triplet": s_triplet_loss,
+               "simce": simce_loss, "m_simce": m_simce_loss}
+
+
+@st.composite
+def _labelled_data(draw):
+    size = draw(st.integers(2, 7))
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)))
+    assume(np.unique(labels).size >= 2)
+    dim = draw(st.integers(2, 4))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((size, dim))
+    diff = data[:, None, :] - data[None, :, :]
+    off_diag = ~np.eye(size, dtype=bool)
+    # coincident rows pin the distance subgradient, which differences cannot see
+    assume(np.sqrt((diff**2).sum(axis=2))[off_diag].min() >= 1e-3)
+    return data, labels
+
+
+_loss_configs = st.builds(
+    LossConfig,
+    margin=st.sampled_from([0.0, 0.3, 1.0]),
+    temperature=st.sampled_from([0.5, 1.0, 2.0]),
+    reduction=st.sampled_from(REDUCTIONS),
+    normalize_for_simce=st.booleans(),
+    detach_similarity=st.booleans(),
+)
+
+
+def _brute_loss(name, data, labels, cfg, weights_from=None):
+    """(value, n_non, n_total) of one pair loss from the loop oracles."""
+    if name in ("triplet", "s_triplet"):
+        terms = np.maximum(_hinge_args(data, labels, cfg, name == "s_triplet", weights_from), 0.0)
+        return _reduce(terms, cfg), int(np.sum(terms > 0.0)), len(terms)
+    terms = (_simce_terms if name == "simce" else _m_simce_terms)(data, labels, cfg)
+    return (float(np.mean(terms)) if len(terms) else 0.0), len(terms), len(terms)
+
+
+def _central_differences(fn, data, h=1e-6):
+    grad = np.zeros_like(data)
+    for idx in np.ndindex(*data.shape):
+        up, down = data.copy(), data.copy()
+        up[idx] += h
+        down[idx] -= h
+        grad[idx] = (fn(up) - fn(down)) / (2 * h)
+    return grad
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_LOSSES))
+@PROPERTY_SETTINGS
+@given(drawn=_labelled_data(), cfg=_loss_configs)
+def test_pair_losses_match_loop_oracles_on_arbitrary_layouts(name, drawn, cfg):
+    data, labels = drawn
+    if name in ("triplet", "s_triplet"):
+        # central differences straddle the relu kink within h of zero
+        args = _hinge_args(data, labels, cfg, name == "s_triplet")
+        assume(np.abs(args).min(initial=1.0) >= 1e-4)
+    result = PAIR_LOSSES[name](EmbeddingBatch(data, labels), cfg)
+    value, n_non, n_total = _brute_loss(name, data, labels, cfg)
+    np.testing.assert_allclose(result.value, value, rtol=1e-12, atol=1e-12)
+    assert (result.n_non, result.n_total) == (n_non, n_total)
+
+    # a detached weighted hinge differentiates with its weights held fixed
+    frozen = data if name == "s_triplet" and cfg.detach_similarity else None
+    numeric = _central_differences(lambda d: _brute_loss(name, d, labels, cfg, frozen)[0], data)
+    scale = max(1.0, float(np.abs(numeric).max()))
+    np.testing.assert_allclose(result.grad, numeric, rtol=0.0, atol=1e-6 * scale)

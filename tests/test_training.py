@@ -27,7 +27,13 @@ from metriclab import (
     sgd_update,
     train,
 )
-from metriclab.errors import DimensionMismatchError, DivergenceError, InvalidConfigError
+from metriclab import losses
+from metriclab.errors import (
+    DegenerateVectorError,
+    DimensionMismatchError,
+    DivergenceError,
+    InvalidConfigError,
+)
 from metriclab.training import _loss_and_grads
 
 
@@ -330,6 +336,16 @@ class TestRunTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="iteration"):
                 run_training(config)
+
+    def test_other_loss_errors_keep_their_type(self, monkeypatch):
+        """Only non-finite values become DivergenceError: a zero-norm
+        embedding row reaches the caller as itself, message intact."""
+        def degenerate(batch, cfg, head):
+            raise DegenerateVectorError("row 3 has zero norm; cosine scores are undefined")
+
+        monkeypatch.setitem(losses.LOSSES, "triplet", degenerate)
+        with pytest.raises(DegenerateVectorError, match="row 3 has zero norm"):
+            run_training(_small_config())
 
     def test_loss_curve_descends_on_easy_data(self):
         """On clean well-separated data the tail of the loss curve should
