@@ -26,19 +26,22 @@ from .analysis import (
     simce_trace_closed,
     triplet_trace_closed,
 )
-from .batching import BatchSpec, enumerate_pos_pairs, enumerate_triplets, sample_pk
+from .batching import BatchSpec, enumerate_pos_pairs, enumerate_triplets
 from .core import EmbeddingBatch, euclidean_dist
 from .errors import InvalidConfigError
-from .evaluation import GalleryProbeSplit, build_geometry_report, rank1, snapshot_sim_matrix
+from .evaluation import snapshot_sim_matrix
 from .losses import LOSSES, ClassifierHead, LossConfig
 from .synth import DatasetSpec, VmfParams, estimate_kappa, gen_dataset, sample_vmf, vmf_density, write_dataset_csv
 from .training import (
     TrainConfig,
-    holdout_split,
+    dataset_seed,
+    evaluate,
     load_model,
     model_forward,
     run_training,
     save_model,
+    snapshot_rows,
+    split_rows,
 )
 
 GRADCHECK_TOLERANCE = 1e-6
@@ -88,7 +91,10 @@ class ExperimentConfig:
         if unknown:
             raise InvalidConfigError(f"{path}: unknown config key {unknown[0]!r}")
         if seed_override is not None:
+            # written into the payload, so config_sha256 names the config that ran
             payload["seed"] = int(seed_override)
+            if isinstance(payload.get("dataset"), dict):
+                payload["dataset"] = dict(payload["dataset"], seed=dataset_seed(payload["seed"]))
         seed = payload.get("seed", 0)
         if not isinstance(seed, int):
             raise InvalidConfigError(f"{path}: seed must be an integer")
@@ -307,46 +313,27 @@ def _cmd_gen_data(args) -> int:
     config = ExperimentConfig.from_file(args.config, args.seed)
     if config.dataset is None:
         raise InvalidConfigError("config has no 'dataset' section")
-    if args.seed is not None:
-        # for data generation the override reaches the dataset seed itself
-        payload = dict(config.raw_payload)
-        section = dict(payload.get("dataset", {}))
-        section["seed"] = args.seed
-        payload["dataset"] = section
-        config = dataclasses.replace(
-            config,
-            dataset=dataclasses.replace(config.dataset, seed=args.seed),
-            raw_payload=payload)
     out = _require_out(args)
     dataset = gen_dataset(config.dataset)
     write_dataset_csv(dataset, out / "dataset.csv")
-    _write_manifest(out, "gen-data", config.raw_payload, config.dataset.seed, ["dataset.csv"])
+    _write_manifest(out, "gen-data", config.raw_payload, config.seed, ["dataset.csv"])
     print(f"gen-data: wrote {dataset.n_samples} rows of dim {dataset.dim} to {out / 'dataset.csv'}")
     return 0
-
-
-def _snapshot_batch_rows(config: ExperimentConfig, labels) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 7]))
-    return sample_pk(labels, config.batch, rng)
 
 
 def _cmd_train(args) -> int:
     config = ExperimentConfig.from_file(args.config, args.seed)
     train_cfg = config.train_config()
     out = _require_out(args)
-    dataset = gen_dataset(train_cfg.dataset)
-    snap_rows = _snapshot_batch_rows(config, dataset.labels)
     total = train_cfg.total_iters
-    snap_iters = sorted({0, total // 2, total})
-    report, model, dataset, _, snapshots = run_training(train_cfg, snap_iters, snap_rows)
+    marks = {"start": 0, "mid": total // 2, "end": total}
+    report, model, _, _, snapshots = run_training(train_cfg, marks.values())
     report.write_curves_csv(out / "curves.csv")
     report.write_eval_csv(out / "evals.csv")
     save_model(model, out / "model.json")
     artifacts = ["curves.csv", "evals.csv", "model.json"]
-    for tag, iteration in zip(("start", "mid", "end"), (0, total // 2, total)):
-        emb = snapshots[iteration]
-        batch = EmbeddingBatch(emb, dataset.labels[snap_rows], config.batch)
-        snapshot_sim_matrix(batch, out / f"sim_{tag}.csv")
+    for tag, iteration in marks.items():
+        snapshot_sim_matrix(snapshots[iteration], out / f"sim_{tag}.csv")
         artifacts.append(f"sim_{tag}.csv")
     _write_manifest(out, "train", config.raw_payload, config.seed, artifacts)
     print(f"train: {train_cfg.variant} for {total} iterations; "
@@ -360,27 +347,9 @@ def _cmd_eval(args) -> int:
     out = _require_out(args)
     model = load_model(args.model)
     dataset = gen_dataset(train_cfg.dataset)
-    seq = np.random.SeedSequence(train_cfg.seed)
-    _, _, split_rng = (np.random.default_rng(s) for s in seq.spawn(3))
-    _, gallery_rows, probe_rows = holdout_split(
-        dataset.labels, train_cfg.holdout_fraction, split_rng)
-    gal, _ = model_forward(model, dataset.features[gallery_rows])
-    pro, _ = model_forward(model, dataset.features[probe_rows])
-    split = GalleryProbeSplit(gal, dataset.labels[gallery_rows], pro, dataset.labels[probe_rows],
-                              metric=train_cfg.eval_metric)
-    geo = build_geometry_report(
-        np.vstack([gal, pro]),
-        np.concatenate([dataset.labels[gallery_rows], dataset.labels[probe_rows]]),
-        train_cfg.uniformity_t)
-    metrics = {
-        "rank1": rank1(split),
-        "uniformity": geo.uniformity,
-        "kappa_hat": geo.kappa_hat,
-        "intra_class_dist": geo.intra_class_dist,
-        "inter_class_dist": geo.inter_class_dist,
-        "inter_intra_ratio": geo.inter_intra_ratio,
-        "degenerate_classes": list(geo.degenerate_classes),
-    }
+    _, gallery_rows, probe_rows = split_rows(train_cfg, dataset.labels)
+    rank1, geo = evaluate(model, dataset, gallery_rows, probe_rows, train_cfg)
+    metrics = {"rank1": rank1, **dataclasses.asdict(geo)}
     (out / "metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="ascii")
     _write_manifest(out, "eval", config.raw_payload, config.seed, ["metrics.json"])
@@ -394,7 +363,7 @@ def _cmd_export_sim(args) -> int:
         raise InvalidConfigError("export-sim needs 'dataset' and 'batch' sections")
     out = _require_out(args)
     dataset = gen_dataset(config.dataset)
-    rows = _snapshot_batch_rows(config, dataset.labels)
+    rows = snapshot_rows(config.seed, config.batch, dataset.labels)
     data = dataset.features[rows]
     if args.model:
         data = model_forward(load_model(args.model), data)[0]
@@ -508,24 +477,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("gen-data", _cmd_gen_data, help="generate the configured synthetic dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    def add_configured(name, fn, **kwargs):
+        p = add(name, fn, **kwargs)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=None,
+                       help="run seed S; the dataset seed becomes 1000*S + 17")
+        return p
 
-    p = add("train", _cmd_train, help="train the configured model and write all curves")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-
-    p = add("eval", _cmd_eval, help="retrieval and geometry metrics for a saved model")
-    p.add_argument("--config", required=True)
+    add_configured("gen-data", _cmd_gen_data, help="generate the configured synthetic dataset")
+    add_configured("train", _cmd_train, help="train the configured model and write all curves")
+    p = add_configured("eval", _cmd_eval, help="retrieval and geometry metrics for a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-
-    p = add("export-sim", _cmd_export_sim, help="similarity matrix of one PK batch")
-    p.add_argument("--config", required=True)
+    p = add_configured("export-sim", _cmd_export_sim, help="similarity matrix of one PK batch")
     p.add_argument("--model", default=None)
     p.add_argument("--kind", default="cosine", choices=("cosine", "cosine_over_max"))
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     add("selftest", _cmd_selftest, help="condensed end-to-end invariant sweep")
     return parser

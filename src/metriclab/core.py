@@ -109,6 +109,25 @@ def cosine_sim(x, y) -> float:
     return float(np.clip(np.dot(x, y) / (nx * ny), -1.0, 1.0))
 
 
+def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X scaled to unit rows, and the row norms."""
+    norms = np.linalg.norm(X, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateVectorError(f"row {zero[0]} has zero norm; cosine is undefined")
+    return X / norms[:, None], norms
+
+
+def _cosine_values(unit: np.ndarray) -> np.ndarray:
+    """Cosines of unit rows, valid by construction: the loss layer skips the SimMatrix checks."""
+    vals = unit @ unit.T
+    # mirror the upper triangle so rounding cannot break symmetry
+    vals = np.triu(vals) + np.triu(vals, 1).T
+    np.clip(vals, -1.0, 1.0, out=vals)
+    np.fill_diagonal(vals, 1.0)
+    return vals
+
+
 def similarity_matrix(batch: EmbeddingBatch, kind: str = "cosine") -> SimMatrix:
     """Pairwise cosine similarities of all batch rows.
 
@@ -118,17 +137,7 @@ def similarity_matrix(batch: EmbeddingBatch, kind: str = "cosine") -> SimMatrix:
     """
     if kind not in SIM_KINDS:
         raise ValueError(f"kind must be one of {SIM_KINDS}, got {kind!r}")
-    X = batch.data
-    norms = np.linalg.norm(X, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateVectorError(f"row {zero[0]} has zero norm; cosine is undefined")
-    unit = X / norms[:, None]
-    vals = unit @ unit.T
-    # mirror the upper triangle so rounding cannot break symmetry
-    vals = np.triu(vals) + np.triu(vals, 1).T
-    np.clip(vals, -1.0, 1.0, out=vals)
-    np.fill_diagonal(vals, 1.0)
+    vals = _cosine_values(_unit_rows(batch.data)[0])
     if kind == "cosine_over_max":
         if batch.size < 2:
             raise ValueError("cosine_over_max needs at least two rows")

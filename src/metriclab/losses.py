@@ -18,9 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .batching import anchor_layout
-from .core import EmbeddingBatch, similarity_matrix
+from .core import EmbeddingBatch, _cosine_values, _unit_rows
 from .errors import (
-    DegenerateVectorError,
     DimensionMismatchError,
     InvalidConfigError,
     InvalidLabelError,
@@ -154,15 +153,11 @@ class BatchGeometry:
 
     @cached_property
     def unit_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        norms = np.linalg.norm(self.batch.data, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DegenerateVectorError(f"row {zero[0]} has zero norm; cosine scores are undefined")
-        return self.batch.data / norms[:, None], norms
+        return _unit_rows(self.batch.data)
 
     @cached_property
     def sim(self) -> np.ndarray:
-        return similarity_matrix(self.batch).values
+        return _cosine_values(self.unit_norms[0])
 
     def scores(self, cfg: LossConfig) -> np.ndarray:
         """Score matrix of the contrastive losses: cosines or raw inner products."""

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import batching
 from .batching import BatchSpec, sample_pk
 from .core import EmbeddingBatch
 from .errors import DimensionMismatchError, DivergenceError, InvalidConfigError, NonFiniteError
-from .evaluation import METRICS, GalleryProbeSplit, build_geometry_report, rank1
+from .evaluation import METRICS, GalleryProbeSplit, GeometryReport, build_geometry_report, rank1
 from .losses import LOSSES, ClassifierHead, LossConfig
 from .synth import DatasetSpec, gen_dataset
 
@@ -246,6 +247,11 @@ class TrainConfig:
         OptimState(momentum=self.momentum, weight_decay=self.weight_decay)
 
 
+def dataset_seed(seed: int) -> int:
+    """The one seed rule: run seed s trains on dataset seed 1000 s + 17 (library and CLI)."""
+    return 1000 * seed + 17
+
+
 def reference_train_config(variant: str = "triplet_only", seed: int = 0,
                            total_iters: int = 5000,
                            eval_interval: int = 2500) -> TrainConfig:
@@ -256,14 +262,14 @@ def reference_train_config(variant: str = "triplet_only", seed: int = 0,
     layer of width 64 feeding 16-d embeddings, (8, 8) batches, and 5000
     cosine-annealed SGD iterations.  Retrieval is scored with cosine
     distance because the contrastive term shapes directions, not norms.
-    The dataset seed is derived from ``seed`` so each seed sees fresh
+    The dataset seed is ``dataset_seed(seed)``, so each seed sees fresh
     data as well as fresh batch order and initialization.
     """
     return TrainConfig(
         dataset=DatasetSpec(
             n_classes=32, subclusters_per_class=2, samples_per_subcluster=25,
             input_dim=32, class_kappa=20.0, subcluster_kappa=60.0,
-            noise_fraction=0.05, seed=seed * 1000 + 17),
+            noise_fraction=0.05, seed=dataset_seed(seed)),
         batch=BatchSpec(n_classes=8, samples_per_class=8),
         loss=LossConfig(margin=0.6, normalize_for_simce=True),
         variant=variant,
@@ -359,20 +365,46 @@ def _loss_and_grads(model: ModelParams, features, labels, batch_spec, loss_cfg, 
     return result, grads
 
 
-def run_training(config: TrainConfig, snapshot_iters=(), snapshot_rows=None):
+def _streams(seed: int) -> tuple[np.random.Generator, ...]:
+    """The init, batch and split generators of run seed ``seed``, in their fixed spawn order."""
+    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+
+
+def split_rows(config: TrainConfig, labels):
+    """The run's (train, gallery, probe) rows, drawn from its split stream."""
+    return holdout_split(labels, config.holdout_fraction, _streams(config.seed)[2])
+
+
+def snapshot_rows(seed: int, spec: BatchSpec, labels) -> np.ndarray:
+    """Rows of the one PK batch that ``train`` snapshots and ``export-sim`` writes."""
+    # not through training.sample_pk, which the benchmark's step clock hooks per step
+    return batching.sample_pk(labels, spec, np.random.default_rng(np.random.SeedSequence([seed, 7])))
+
+
+def evaluate(model: ModelParams, dataset, gallery_rows, probe_rows,
+             config: TrainConfig) -> tuple[float, GeometryReport]:
+    """Held-out rank-1 and the geometry of the gallery + probe embeddings."""
+    gal, _ = model_forward(model, dataset.features[gallery_rows])
+    pro, _ = model_forward(model, dataset.features[probe_rows])
+    gal_labels, pro_labels = dataset.labels[gallery_rows], dataset.labels[probe_rows]
+    split = GalleryProbeSplit(gal, gal_labels, pro, pro_labels, metric=config.eval_metric)
+    geo = build_geometry_report(np.vstack([gal, pro]), np.concatenate([gal_labels, pro_labels]),
+                                config.uniformity_t)
+    return rank1(split), geo
+
+
+def run_training(config: TrainConfig, snapshot_iters=()):
     """Full training run.
 
     Returns (report, model, dataset, (train_rows, gallery_rows, probe_rows),
     snapshots) where snapshots maps each requested iteration to the
-    embeddings of ``snapshot_rows`` at that point.  Separate generator
-    streams drive init, batching, and the split, all spawned from
-    config.seed, so every run with the same config replays exactly.
+    ``EmbeddingBatch`` of the ``snapshot_rows`` batch at that point.  The
+    generator streams all derive from config.seed, so every run with the
+    same config replays exactly.
     """
     dataset = gen_dataset(config.dataset)
-    seq = np.random.SeedSequence(config.seed)
-    init_rng, batch_rng, split_rng = (np.random.default_rng(s) for s in seq.spawn(3))
-    train_rows, gallery_rows, probe_rows = holdout_split(
-        dataset.labels, config.holdout_fraction, split_rng)
+    init_rng, batch_rng, _ = _streams(config.seed)
+    train_rows, gallery_rows, probe_rows = split_rows(config, dataset.labels)
     model = ModelParams.init(
         init_rng, dataset.dim, config.embed_dim, config.dataset.n_classes,
         config.hidden_dim, config.init_scale)
@@ -380,27 +412,20 @@ def run_training(config: TrainConfig, snapshot_iters=(), snapshot_rows=None):
     state = OptimState(momentum=config.momentum, weight_decay=config.weight_decay)
     train_labels = dataset.labels[train_rows]
     snap_set = set(int(s) for s in snapshot_iters)
-    snapshots: dict[int, np.ndarray] = {}
+    snap_rows = snapshot_rows(config.seed, config.batch, dataset.labels) if snap_set else None
+    snapshots: dict[int, EmbeddingBatch] = {}
 
     losses, lrs, n_non = [], [], []
     eval_rows = []
 
     def record_eval(iteration: int):
-        gal, _ = model_forward(model, dataset.features[gallery_rows])
-        pro, _ = model_forward(model, dataset.features[probe_rows])
-        split = GalleryProbeSplit(gal, dataset.labels[gallery_rows],
-                                  pro, dataset.labels[probe_rows],
-                                  metric=config.eval_metric)
-        geo = build_geometry_report(
-            np.vstack([gal, pro]),
-            np.concatenate([dataset.labels[gallery_rows], dataset.labels[probe_rows]]),
-            config.uniformity_t)
-        eval_rows.append((iteration, rank1(split), geo.uniformity,
-                          geo.kappa_hat, geo.inter_intra_ratio))
+        r1, geo = evaluate(model, dataset, gallery_rows, probe_rows, config)
+        eval_rows.append((iteration, r1, geo.uniformity, geo.kappa_hat, geo.inter_intra_ratio))
 
     def maybe_snapshot(iteration: int):
-        if snapshot_rows is not None and iteration in snap_set:
-            snapshots[iteration] = model_forward(model, dataset.features[snapshot_rows])[0]
+        if iteration in snap_set:
+            emb = model_forward(model, dataset.features[snap_rows])[0]
+            snapshots[iteration] = EmbeddingBatch(emb, dataset.labels[snap_rows], config.batch)
 
     record_eval(0)
     maybe_snapshot(0)

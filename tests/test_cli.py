@@ -8,14 +8,19 @@ installed console script.
 """
 
 import json
+import os
+import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from metriclab import reference_train_config
+import metriclab
+from metriclab import cli, gen_dataset, reference_train_config, training, write_dataset_csv
 from metriclab.cli import ExperimentConfig, run
+from metriclab.training import dataset_seed
 
 TINY_CONFIG = {
     "seed": 0,
@@ -124,6 +129,32 @@ class TestDataCommands:
         assert _manifest(out_b)["seed"] == 9
         assert _manifest(out_b)["config_sha256"] != _manifest(out_a)["config_sha256"]
 
+    def test_gen_data_writes_the_dataset_train_trains_on(self, tiny_config, tmp_path, monkeypatch):
+        """One seed rule: `gen-data --seed 3` and `train --seed 3` see the same
+        data, and `train` generates it once."""
+        made = []
+
+        def recording(spec):
+            made.append((spec, gen_dataset(spec)))
+            return made[-1][1]
+
+        monkeypatch.setattr(training, "gen_dataset", recording)
+        monkeypatch.setattr(cli, "gen_dataset", recording)
+        data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+        assert run(["gen-data", "--config", str(tiny_config), "--seed", "3",
+                    "--out", str(data_dir)]) == 0
+        assert len(made) == 1
+        assert run(["train", "--config", str(tiny_config), "--seed", "3",
+                    "--out", str(run_dir)]) == 0
+        assert len(made) == 2  # train generated its dataset exactly once
+        spec, trained_on = made[1]
+        assert spec.seed == dataset_seed(3)
+        write_dataset_csv(trained_on, tmp_path / "trained_on.csv")
+        assert (tmp_path / "trained_on.csv").read_bytes() == (data_dir / "dataset.csv").read_bytes()
+        for out in (data_dir, run_dir):
+            assert _manifest(out)["seed"] == 3
+        assert _manifest(data_dir)["config_sha256"] == _manifest(run_dir)["config_sha256"]
+
 
 class TestTrainEvalRoundTrip:
     def test_train_writes_all_artifacts(self, tiny_config, tmp_path, capsys):
@@ -149,18 +180,21 @@ class TestTrainEvalRoundTrip:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_eval_reads_a_trained_model(self, tiny_config, tmp_path):
-        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
-        run(["train", "--config", str(tiny_config), "--out", str(run_dir)])
-        code = run(["eval", "--config", str(tiny_config),
-                    "--model", str(run_dir / "model.json"), "--out", str(eval_dir)])
-        assert code == 0
-        metrics = json.loads((eval_dir / "metrics.json").read_text())
-        assert set(metrics) == {"rank1", "uniformity", "kappa_hat", "intra_class_dist",
-                                "inter_class_dist", "inter_intra_ratio", "degenerate_classes"}
-        assert 0.0 <= metrics["rank1"] <= 1.0
-        # the final in-run evaluation and the standalone eval see the same split
-        evals = (run_dir / "evals.csv").read_text().splitlines()[-1].split(",")
-        np.testing.assert_allclose(metrics["rank1"], float(evals[1]), atol=1e-12)
+        for tag, seed_args in (("config", []), ("override", ["--seed", "3"])):
+            run_dir, eval_dir = tmp_path / f"run_{tag}", tmp_path / f"eval_{tag}"
+            run(["train", "--config", str(tiny_config), "--out", str(run_dir)] + seed_args)
+            code = run(["eval", "--config", str(tiny_config), "--model", str(run_dir / "model.json"),
+                        "--out", str(eval_dir)] + seed_args)
+            assert code == 0
+            metrics = json.loads((eval_dir / "metrics.json").read_text())
+            assert set(metrics) == {"rank1", "uniformity", "kappa_hat", "intra_class_dist",
+                                    "inter_class_dist", "inter_intra_ratio", "degenerate_classes"}
+            assert 0.0 <= metrics["rank1"] <= 1.0
+            # the final in-run evaluation and the standalone eval see the same
+            # data and split, so every number agrees to the last bit
+            evals = (run_dir / "evals.csv").read_text().splitlines()[-1].split(",")
+            assert [metrics[k] for k in ("rank1", "uniformity", "kappa_hat", "inter_intra_ratio")] \
+                == [float(v) for v in evals[1:]], tag
 
     def test_export_sim_with_and_without_model(self, tiny_config, tmp_path):
         run_dir = tmp_path / "run"
@@ -234,6 +268,13 @@ class TestReferenceConfigFile:
         assert config.train_config() == reference_train_config(
             variant="triplet_only", seed=0)
 
+    def test_seed_override_follows_the_library_rule(self):
+        config = ExperimentConfig.from_file("configs/reference.json", seed_override=3)
+        assert config.train_config() == reference_train_config(seed=3)
+        # the manifest hash names the config that ran, dataset seed included
+        assert config.raw_payload["seed"] == 3
+        assert config.raw_payload["dataset"]["seed"] == 3017
+
     def test_sha256_is_stable_under_key_order(self, tmp_path):
         payload = json.loads(open("configs/reference.json").read())
         reordered = {k: payload[k] for k in reversed(list(payload))}
@@ -245,10 +286,19 @@ class TestReferenceConfigFile:
 
 
 class TestConsoleScript:
-    @pytest.mark.skipif(shutil.which("metriclab") is None,
-                        reason="console script not on PATH")
     def test_installed_entry_point(self):
-        proc = subprocess.run(["metriclab", "margin-check", "--trials", "1"],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0
+        """The `metriclab` script if it is installed, else the entry point
+        pyproject.toml declares for it, run the same way in a fresh interpreter."""
+        env = None
+        argv = ["metriclab"]
+        if shutil.which("metriclab") is None:
+            text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+            module, func = re.search(r'^metriclab\s*=\s*"([\w.]+):(\w+)"', text, re.M).groups()
+            argv = [sys.executable, "-c", f"from {module} import {func}; {func}()"]
+            package_root = str(Path(metriclab.__file__).parents[1])
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(argv + ["margin-check", "--trials", "1"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
         assert "margin-check: PASS" in proc.stdout

@@ -34,7 +34,7 @@ from metriclab.errors import (
     DivergenceError,
     InvalidConfigError,
 )
-from metriclab.training import _loss_and_grads
+from metriclab.training import _loss_and_grads, snapshot_rows, split_rows
 
 
 def _small_dataset_spec(seed=3):
@@ -233,6 +233,14 @@ class TestHoldoutSplit:
         with pytest.raises(InvalidConfigError, match="class 1"):
             holdout_split(np.array([0, 0, 0, 0, 1, 1]), 0.2, rng)
 
+    def test_split_rows_draw_from_the_third_stream_of_the_run_seed(self):
+        """Init, batch, split is the spawn order; eval re-derives the split from it."""
+        labels = np.repeat(np.arange(4), 10)
+        split_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[2])
+        expected = holdout_split(labels, 0.2, split_rng)
+        for got, want in zip(split_rows(_small_config(seed=5), labels), expected):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestTrainConfig:
     def test_validation(self):
@@ -289,7 +297,9 @@ class TestRunTraining:
         np.testing.assert_array_equal(report.eval_iters, [0, 10, 20, 30])
         assert model.digest() == report.params_digest
         assert len(dataset.labels) == 40
-        assert len(train_rows) + len(gallery_rows) + len(probe_rows) == 40
+        for got, want in zip((train_rows, gallery_rows, probe_rows),
+                             split_rows(config, dataset.labels)):
+            np.testing.assert_array_equal(got, want)
 
     def test_same_config_replays_bit_for_bit(self, tmp_path):
         """Two runs from one config agree in every array, the parameter
@@ -319,14 +329,16 @@ class TestRunTraining:
         assert len(report.rank1) == 1
 
     def test_snapshots_at_requested_iterations(self):
+        """Snapshots embed the seed's snapshot batch, drawn by the run itself."""
         config = _small_config(total_iters=4, eval_interval=2)
-        rows = np.arange(8)
-        _, model, dataset, _, snaps = run_training(config, snapshot_iters=(0, 4),
-                                                   snapshot_rows=rows)
+        _, model, dataset, _, snaps = run_training(config, snapshot_iters=(0, 4))
         assert sorted(snaps) == [0, 4]
+        rows = snapshot_rows(config.seed, config.batch, dataset.labels)
         final, _ = model_forward(model, dataset.features[rows])
-        np.testing.assert_array_equal(snaps[4], final)
-        assert not np.array_equal(snaps[0], snaps[4])
+        np.testing.assert_array_equal(snaps[4].data, final)
+        np.testing.assert_array_equal(snaps[4].labels, dataset.labels[rows])
+        assert snaps[4].batch_spec == config.batch
+        assert not np.array_equal(snaps[0].data, snaps[4].data)
 
     def test_exploding_run_raises_divergence_error(self):
         """An absurd learning rate overflows the parameters within a few
