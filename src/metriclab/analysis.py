@@ -17,6 +17,10 @@ from .core import EmbeddingBatch
 from .errors import EvaluationError, InvalidConfigError, SingularityError
 
 
+# antithetic pairs per robustness_gap block; larger blocks only add peak memory
+_MC_BLOCK_PAIRS = 1024
+
+
 @dataclass(frozen=True)
 class RobustnessProbe:
     """How to probe E[L(v + delta)] - L(v) with delta uniform per coordinate."""
@@ -140,24 +144,49 @@ def robustness_gap(scalar_fn, v, probe: RobustnessProbe) -> tuple[float, float]:
     epsilon^2 / 6 * trace(H) visible at all; plain averaging would drown it
     in first-order noise at any affordable sample count.  The prediction's
     trace is the numeric probe, so this stays a pure oracle.
+
+    scalar_fn is row-wise: it maps an array of points (..., d) to values
+    (...), so a single point gives a scalar (which is how
+    numeric_hessian_trace calls it) and a (k, d) block gives k values; any
+    other result shape raises EvaluationError.  The draws are made in blocks
+    of _MC_BLOCK_PAIRS rows, one (k, d) uniform draw and two scalar_fn calls
+    per block.  A (k, d) draw yields the rows of k sequential size-d draws,
+    so the seed stream is the one a per-pair loop would consume.  The block
+    size is fixed, not n_pairs, to keep peak memory flat: one block of all
+    50,000 pairs at d = 16 would hold 6.4 MB in each array of points.
     """
     v = np.asarray(v, dtype=np.float64)
     rng = np.random.default_rng(probe.seed)
-    f0 = float(scalar_fn(v))
+    f0 = float(_values(scalar_fn, v, ()))
     if not np.isfinite(f0):
         raise EvaluationError("non-finite function value at the base point")
     n_pairs = max(probe.n_samples // 2, 1)
     acc = 0.0
-    for _ in range(n_pairs):
-        delta = rng.uniform(-probe.epsilon, probe.epsilon, size=v.shape)
-        fp = float(scalar_fn(v + delta))
-        fm = float(scalar_fn(v - delta))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise EvaluationError("non-finite function value at a perturbed point")
-        acc += 0.5 * (fp + fm) - f0
+    for start in range(0, n_pairs, _MC_BLOCK_PAIRS):
+        k = min(_MC_BLOCK_PAIRS, n_pairs - start)
+        delta = rng.uniform(-probe.epsilon, probe.epsilon, size=(k,) + v.shape)
+        fp = _values(scalar_fn, v + delta, (k,))
+        fm = _values(scalar_fn, v - delta, (k,))
+        bad = np.flatnonzero(~(np.isfinite(fp) & np.isfinite(fm)))
+        if bad.size:
+            i = int(bad[0])
+            side = "-delta" if np.isfinite(fp[i]) else "+delta"
+            raise EvaluationError(
+                f"non-finite function value at antithetic pair {start + i} ({side} side)")
+        acc += float(np.sum(0.5 * (fp + fm) - f0))
     mc_estimate = acc / n_pairs
     predicted = probe.epsilon**2 / 6.0 * numeric_hessian_trace(scalar_fn, v, h=1e-4)
     return mc_estimate, predicted
+
+
+def _values(scalar_fn, points: np.ndarray, shape: tuple) -> np.ndarray:
+    """scalar_fn at points, checked to give one value per point (shape ``shape``)."""
+    values = np.asarray(scalar_fn(points), dtype=np.float64)
+    if values.shape != shape:
+        raise EvaluationError(
+            f"scalar_fn must return one value per point: expected shape {shape}, "
+            f"got {values.shape}")
+    return values
 
 
 def dynamic_margin(a, p, n, temperature: float = 1.0) -> tuple[float, float]:

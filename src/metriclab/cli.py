@@ -250,7 +250,7 @@ def _cmd_robustness_check(args) -> int:
     quad_dim = 6
     probe = RobustnessProbe(epsilon=args.epsilon, n_samples=args.samples, seed=args.seed + 1)
     v0 = rng.standard_normal(quad_dim)
-    mc, pred = robustness_gap(lambda v: float(v @ v), v0, probe)
+    mc, pred = robustness_gap(lambda v: (v * v).sum(-1), v0, probe)
     rel = abs(mc - pred) / abs(pred)
     ok &= rel <= 1e-3  # quadratic: the expansion is exact, only MC noise remains
     probes.append({"kind": "quadratic", "mc": mc, "predicted": pred,
@@ -263,7 +263,7 @@ def _cmd_robustness_check(args) -> int:
         n = rng.standard_normal(dim)
 
         def simce_value(v, a=a, p=p):
-            return float(np.logaddexp(0.0, a @ (a - v) - a @ p))
+            return np.logaddexp(0.0, (a - v) @ a - a @ p)
 
         mc, pred = robustness_gap(simce_value, a - n, probe)
         rel = abs(mc - pred) / abs(pred)
@@ -411,7 +411,7 @@ def _cmd_selftest(args) -> int:
           f"numeric {rep.numeric_trace:.6f} closed {rep.closed_form_trace:.6f}")
 
     probe = RobustnessProbe(epsilon=0.01, n_samples=20_000, seed=11)
-    mc, pred = robustness_gap(lambda w: float(w @ w), rng.standard_normal(4), probe)
+    mc, pred = robustness_gap(lambda w: (w * w).sum(-1), rng.standard_normal(4), probe)
     check("robustness quadratic", abs(mc - pred) / abs(pred) <= 1e-3,
           f"mc {mc:.3e} vs predicted {pred:.3e}")
 

@@ -156,7 +156,7 @@ def test_04_noise_gap_matches_second_order_prediction():
     Monte-Carlo error on a quadratic where the expansion is exact."""
     rng = np.random.default_rng(104)
     probe = RobustnessProbe(epsilon=0.01, n_samples=100_000, seed=404)
-    mc, predicted = robustness_gap(lambda v: float(v @ v),
+    mc, predicted = robustness_gap(lambda v: (v * v).sum(-1),
                                    rng.standard_normal(6), probe)
     quad_rel = abs(mc - predicted) / abs(predicted)
     worst_rel = 0.0
@@ -168,7 +168,7 @@ def test_04_noise_gap_matches_second_order_prediction():
         n = rng.standard_normal(dim)
 
         def contrastive_term(v, a=a, p=p):
-            return float(np.logaddexp(0.0, a @ (a - v) - a @ p))
+            return np.logaddexp(0.0, (a - v) @ a - a @ p)
 
         mc, predicted = robustness_gap(contrastive_term, a - n, probe)
         worst_rel = max(worst_rel, abs(mc - predicted) / abs(predicted))

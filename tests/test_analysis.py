@@ -6,6 +6,7 @@ cross-checked against an independent numerical scheme inside the test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from metriclab import (
     simce_trace_closed,
     triplet_trace_closed,
 )
+from metriclab import analysis
 from metriclab.errors import EvaluationError, InvalidConfigError, SingularityError
 
 
@@ -172,7 +174,7 @@ class TestRobustnessGap:
         d*eps^2/3; paired antithetic draws kill the odd-order noise."""
         probe = RobustnessProbe(epsilon=0.01, n_samples=100000, seed=7)
         v = np.random.default_rng(121).standard_normal(6)
-        mc, predicted = robustness_gap(lambda x: float(x @ x), v, probe)
+        mc, predicted = robustness_gap(lambda x: (x * x).sum(-1), v, probe)
         exact = 6 * probe.epsilon**2 / 3.0
         np.testing.assert_allclose(predicted, exact, rtol=1e-4)
         # the MC mean's own standard error is ~0.17% relative at 1e5 draws
@@ -183,7 +185,7 @@ class TestRobustnessGap:
         exactly zero, not just small."""
         c = np.arange(1.0, 6.0)
         probe = RobustnessProbe(epsilon=0.05, n_samples=1000, seed=8)
-        mc, predicted = robustness_gap(lambda x: float(c @ x), np.ones(5), probe)
+        mc, predicted = robustness_gap(lambda x: (x * c).sum(-1), np.ones(5), probe)
         assert mc == 0.0
         np.testing.assert_allclose(predicted, 0.0, atol=1e-10)
 
@@ -196,7 +198,7 @@ class TestRobustnessGap:
             a /= np.linalg.norm(a)
             p, n = rng.standard_normal((2, d))
             sp = float(a @ p)
-            fn = lambda v: float(np.logaddexp(0.0, a @ a - a @ v - sp))
+            fn = lambda v: np.logaddexp(0.0, a @ a - v @ a - sp)
             mc, predicted = robustness_gap(fn, a - n, probe)
             assert abs(mc - predicted) / abs(predicted) <= 0.05
 
@@ -209,8 +211,105 @@ class TestRobustnessGap:
     def test_fixed_seed_reproduces(self):
         probe = RobustnessProbe(epsilon=0.02, n_samples=2000, seed=5)
         v = np.ones(4)
-        fn = lambda x: float(np.sin(x).sum())
+        fn = lambda x: np.sin(x).sum(-1)
         assert robustness_gap(fn, v, probe) == robustness_gap(fn, v, probe)
+
+
+def _per_pair_gap(scalar_fn, v, probe):
+    """The per-pair scalar loop robustness_gap used to run, kept as its reference."""
+    v = np.asarray(v, dtype=np.float64)
+    rng = np.random.default_rng(probe.seed)
+    f0 = float(scalar_fn(v))
+    n_pairs = max(probe.n_samples // 2, 1)
+    acc = 0.0
+    for _ in range(n_pairs):
+        delta = rng.uniform(-probe.epsilon, probe.epsilon, size=v.shape)
+        fp = float(scalar_fn(v + delta))
+        fm = float(scalar_fn(v - delta))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise EvaluationError("non-finite function value at a perturbed point")
+        acc += 0.5 * (fp + fm) - f0
+    predicted = probe.epsilon**2 / 6.0 * numeric_hessian_trace(scalar_fn, v, h=1e-4)
+    return acc / n_pairs, predicted
+
+
+def _row_fn(kind, d):
+    """A smooth row-wise function of points (..., d), written so that a block
+    of rows gives bit for bit the values of the same rows one at a time."""
+    rng = np.random.default_rng([d, 31])
+    a = rng.standard_normal(d)
+    a /= np.linalg.norm(a)
+    sp = float(a @ rng.standard_normal(d))
+    return {
+        "quadratic": lambda x: (x * x).sum(-1),
+        "softplus": lambda x: np.logaddexp(0.0, ((a - x) * a).sum(-1) - sp),
+        "sin": lambda x: np.sin(x).sum(-1),
+    }[kind]
+
+
+BLOCK = analysis._MC_BLOCK_PAIRS
+
+
+class TestRobustnessGapBlocks:
+    """The blocked estimator against the per-pair loop it replaced."""
+
+    @pytest.mark.parametrize("n_samples", [1, 3, 2 * BLOCK - 2, 2 * BLOCK, 2 * BLOCK + 2, 100_000])
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("kind", ["quadratic", "softplus", "sin"])
+    def test_matches_the_per_pair_loop(self, kind, d, n_samples):
+        fn = _row_fn(kind, d)
+        v = np.random.default_rng([d, 32]).standard_normal(d)
+        probe = RobustnessProbe(epsilon=0.01, n_samples=n_samples, seed=d + n_samples)
+        mc, predicted = robustness_gap(fn, v, probe)
+        ref_mc, ref_predicted = _per_pair_gap(fn, v, probe)
+        if ref_mc == 0.0:
+            assert abs(mc) <= 1e-18
+        else:
+            assert abs(mc - ref_mc) <= 1e-12 * abs(ref_mc)
+        assert predicted == ref_predicted
+
+    def test_blocks_draw_the_per_pair_sequence(self):
+        d, n_pairs = 3, BLOCK + 1
+        v = np.linspace(-1.0, 1.0, d)
+        probe = RobustnessProbe(epsilon=0.05, n_samples=2 * n_pairs, seed=13)
+        blocks = []
+
+        def recording(x):
+            if x.ndim == 2:
+                blocks.append(x.copy())
+            return (x * x).sum(-1)
+
+        robustness_gap(recording, v, probe)
+        rng = np.random.default_rng(probe.seed)
+        deltas = np.array([rng.uniform(-probe.epsilon, probe.epsilon, size=d)
+                           for _ in range(n_pairs)])
+        assert [len(b) for b in blocks] == [BLOCK, BLOCK, 1, 1]
+        np.testing.assert_array_equal(np.concatenate(blocks[0::2]), v + deltas)
+        np.testing.assert_array_equal(np.concatenate(blocks[1::2]), v - deltas)
+
+    @pytest.mark.parametrize("fn, expected, received", [
+        (lambda x: float(np.sum(x * x)), r"\(500,\)", r"\(\)"),
+        (lambda x: (x * x).sum(-1) if x.ndim == 1 else (x * x).sum(-1)[1:], r"\(500,\)", r"\(499,\)"),
+        (lambda x: (x * x).sum(-1, keepdims=True), r"\(\)", r"\(1,\)"),
+    ], ids=["one-scalar-per-block", "short-block", "keepdims"])
+    def test_one_value_per_point_is_enforced(self, fn, expected, received):
+        probe = RobustnessProbe(epsilon=0.01, n_samples=1000, seed=3)
+        with pytest.raises(EvaluationError, match=rf"expected shape {expected}, got {received}"):
+            robustness_gap(fn, np.ones(3), probe)
+
+    @pytest.mark.parametrize("side, sign", [("+delta", 1.0), ("-delta", -1.0)])
+    def test_non_finite_value_names_the_pair_and_side(self, side, sign):
+        d, pair = 4, BLOCK + 476
+        v = np.ones(d)
+        probe = RobustnessProbe(epsilon=0.01, n_samples=4000, seed=21)
+        rng = np.random.default_rng(probe.seed)
+        target = v + sign * rng.uniform(-probe.epsilon, probe.epsilon, size=(pair + 1, d))[pair]
+
+        def blows_up_at_target(x):
+            return np.where(np.all(x == target, axis=-1), np.inf, (x * x).sum(-1))
+
+        with pytest.raises(EvaluationError, match=re.escape(f"pair {pair} ({side} side)")):
+            robustness_gap(blows_up_at_target, v, probe)
 
 
 class TestDynamicMargin:
