@@ -20,10 +20,12 @@ from .analysis import (
 )
 from .batching import (
     BatchSpec,
+    PKIndex,
     PosPairSet,
     TripletIndexSet,
     enumerate_pos_pairs,
     enumerate_triplets,
+    pk_index,
     sample_pk,
 )
 from .core import (

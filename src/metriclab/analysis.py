@@ -249,7 +249,8 @@ def batch_gradcheck(loss_fn, batch: EmbeddingBatch, h: float = 1e-5) -> float:
     shape = batch.data.shape
 
     def value_at(flat):
-        rebuilt = EmbeddingBatch(flat.reshape(shape), batch.labels, batch.batch_spec)
+        # the base batch's layout is already checked; only finiteness can change
+        rebuilt = EmbeddingBatch(flat.reshape(shape), batch.labels)
         return loss_fn(rebuilt).value
 
     numeric = finite_diff_grad(value_at, batch.data.ravel(), h)

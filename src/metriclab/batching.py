@@ -198,13 +198,24 @@ def enumerate_pos_pairs(labels) -> PosPairSet:
                       _freeze(neg_rows), _freeze(offsets.astype(np.int64)))
 
 
-def sample_pk(labels, spec: BatchSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw a PK batch of dataset row indices, without replacement at both levels.
+@dataclass(frozen=True)
+class PKIndex:
+    """The rows of every class that can fill a ``spec`` block, built once per label set.
 
-    Picks ``spec.n_classes`` distinct classes among those with at least
-    ``spec.samples_per_class`` rows, then ``samples_per_class`` distinct rows
-    from each.  The result is class-block contiguous.  Deterministic given
-    the generator state.
+    ``class_rows[i]`` holds the ascending rows of the i-th eligible class
+    (eligible classes ascending).  :func:`sample_pk` draws from it without
+    touching the labels again, so a training loop builds it once per run.
+    """
+
+    spec: BatchSpec
+    class_rows: tuple[np.ndarray, ...]
+
+
+def pk_index(labels, spec: BatchSpec) -> PKIndex:
+    """Index the classes with at least ``spec.samples_per_class`` rows.
+
+    Raises CapacityError when fewer than ``spec.n_classes`` classes exist,
+    or fewer than that many have enough rows.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     classes, counts = np.unique(labels, return_counts=True)
@@ -218,9 +229,26 @@ def sample_pk(labels, spec: BatchSpec, rng: np.random.Generator) -> np.ndarray:
             f"only {eligible.size} classes have >= {spec.samples_per_class} samples; "
             f"the batch needs {spec.n_classes}"
         )
-    chosen = rng.choice(eligible, size=spec.n_classes, replace=False)
+    return PKIndex(spec, tuple(_freeze(np.flatnonzero(labels == c)) for c in eligible))
+
+
+def sample_pk(labels, spec: BatchSpec, rng: np.random.Generator) -> np.ndarray:
+    """Draw a PK batch of dataset row indices, without replacement at both levels.
+
+    Picks ``spec.n_classes`` distinct classes among those with at least
+    ``spec.samples_per_class`` rows, then ``samples_per_class`` distinct rows
+    from each.  The result is class-block contiguous, so the labels of the
+    rows always form a full [N, K] layout.  Deterministic given the
+    generator state.  ``labels`` is a label array or a :class:`PKIndex` of
+    one built for ``spec``; both make the same draws from ``rng``.
+    """
+    index = labels if isinstance(labels, PKIndex) else pk_index(labels, spec)
+    if index.spec != spec:
+        raise InvalidConfigError(f"index was built for {index.spec}, not {spec}")
+    # choice(n) then indexing consumes the stream choice(array of length n) does
+    chosen = rng.choice(len(index.class_rows), size=spec.n_classes, replace=False)
     blocks = []
     for c in chosen:
-        rows = np.flatnonzero(labels == c)
-        blocks.append(rng.choice(rows, size=spec.samples_per_class, replace=False))
+        rows = index.class_rows[c]
+        blocks.append(rows[rng.choice(rows.size, size=spec.samples_per_class, replace=False)])
     return np.concatenate(blocks)

@@ -60,6 +60,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(minimum: int):
+    """argparse type for an integer >= ``minimum``; argparse puts the flag name in the error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # so a non-integer reads "invalid int value", as with type=int
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -460,21 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gradcheck", _cmd_gradcheck, help="finite-difference check of every loss gradient")
     p.add_argument("--loss", default="all", help=f"one of {('all',) + LOSS_NAMES}")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count(1), default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("hessian-check", _cmd_hessian_check, help="trace probes against their closed forms")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_count(0), default=50)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("robustness-check", _cmd_robustness_check, help="Monte-Carlo noise-gap vs prediction")
-    p.add_argument("--points", type=int, default=5)
+    p.add_argument("--points", type=_count(0), default=5)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("margin-check", _cmd_margin_check, help="Taylor-residual bound and dynamic margins")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_count(0), default=5)
     p.add_argument("--seed", type=int, default=0)
 
     def add_configured(name, fn, **kwargs):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import batching
-from .batching import BatchSpec, sample_pk
+from .batching import BatchSpec, pk_index, sample_pk
 from .core import EmbeddingBatch
 from .errors import DimensionMismatchError, DivergenceError, InvalidConfigError, NonFiniteError
 from .evaluation import METRICS, GalleryProbeSplit, GeometryReport, build_geometry_report, rank1
@@ -96,6 +96,22 @@ class ModelParams:
             params["hidden_weight"] = self.hidden_weight
             params["hidden_bias"] = self.hidden_bias
         return params
+
+    def flatten(self) -> np.ndarray:
+        """Move every trainable array into one contiguous float64 vector, in param_dict order.
+
+        The attributes become views of the returned vector, so one
+        elementwise update of it moves them all; values and digest stay.
+        """
+        params = self.param_dict()
+        flat = np.concatenate(list(params.values()), axis=None)
+        bounds = np.cumsum([0] + [a.size for a in params.values()])
+        views = [flat[lo:hi].reshape(a.shape)
+                 for lo, hi, a in zip(bounds[:-1], bounds[1:], params.values())]
+        self.embed_weight, self.embed_bias, self.head.weight, self.head.bias, *hidden = views
+        if hidden:
+            self.hidden_weight, self.hidden_bias = hidden
+        return flat
 
     def digest(self) -> str:
         """sha256 over all parameter bytes in a fixed key order."""
@@ -352,9 +368,10 @@ def holdout_split(labels, fraction: float, rng: np.random.Generator):
             np.sort(np.concatenate(probe)))
 
 
-def _loss_and_grads(model: ModelParams, features, labels, batch_spec, loss_cfg, variant):
+def _loss_and_grads(model: ModelParams, features, labels, loss_cfg, variant):
     embeddings, cache = _forward_cached(model, features)
-    batch = EmbeddingBatch(embeddings, labels, batch_spec)
+    # no spec: sample_pk rows always form the [N, K] layout, so only shape and finiteness are checked
+    batch = EmbeddingBatch(embeddings, labels)
     result = LOSSES[_VARIANT_LOSSES[variant]](batch, loss_cfg, model.head)
     grads = _backward(model, cache, result.grad)
     zeros = lambda a: np.zeros_like(a)  # noqa: E731 - tiny local alias
@@ -408,9 +425,10 @@ def run_training(config: TrainConfig, snapshot_iters=()):
     model = ModelParams.init(
         init_rng, dataset.dim, config.embed_dim, config.dataset.n_classes,
         config.hidden_dim, config.init_scale)
-    params = model.param_dict()
+    names = list(model.param_dict())
+    params = {"params": model.flatten()}
     state = OptimState(momentum=config.momentum, weight_decay=config.weight_decay)
-    train_labels = dataset.labels[train_rows]
+    pk = pk_index(dataset.labels[train_rows], config.batch)
     snap_set = set(int(s) for s in snapshot_iters)
     snap_rows = snapshot_rows(config.seed, config.batch, dataset.labels) if snap_set else None
     snapshots: dict[int, EmbeddingBatch] = {}
@@ -431,15 +449,15 @@ def run_training(config: TrainConfig, snapshot_iters=()):
     maybe_snapshot(0)
     for step in range(config.total_iters):
         lr = cosine_lr(step, config.total_iters, config.lr0, config.lr_min)
-        pick = sample_pk(train_labels, config.batch, batch_rng)
+        pick = sample_pk(pk, config.batch, batch_rng)
         rows = train_rows[pick]
         try:
             result, grads = _loss_and_grads(
-                model, dataset.features[rows], dataset.labels[rows],
-                config.batch, config.loss, config.variant)
+                model, dataset.features[rows], dataset.labels[rows], config.loss, config.variant)
         except NonFiniteError as exc:
             raise DivergenceError(f"non-finite loss at iteration {step}: {exc}") from exc
-        sgd_update(params, grads, state, lr)
+        sgd_update(params, {"params": np.concatenate([grads[n] for n in names], axis=None)},
+                   state, lr)
         losses.append(result.value)
         lrs.append(lr)
         n_non.append(result.n_non)

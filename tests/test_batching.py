@@ -8,8 +8,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metriclab import BatchSpec, enumerate_pos_pairs, enumerate_triplets, sample_pk
+from metriclab import (
+    BatchSpec,
+    PKIndex,
+    enumerate_pos_pairs,
+    enumerate_triplets,
+    pk_index,
+    sample_pk,
+)
 from metriclab.errors import CapacityError, InvalidConfigError, NoNegativesError
 
 
@@ -189,3 +198,97 @@ class TestSamplePk:
             counts[np.unique(labels[idx])] += 1
         expected = draws * 4 / 10
         assert np.all(np.abs(counts - expected) <= 0.05 * expected)
+
+
+# ---------------------------------------------------------------------------
+# the per-run PK index against the sampler it replaced
+
+
+def _label_scan_sample_pk(labels, spec, rng):
+    """The sampler as it was before the PK index: a full label scan per draw."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    classes, counts = np.unique(labels, return_counts=True)
+    if classes.size < spec.n_classes:
+        raise CapacityError(
+            f"dataset has {classes.size} classes but the batch needs {spec.n_classes}"
+        )
+    eligible = classes[counts >= spec.samples_per_class]
+    if eligible.size < spec.n_classes:
+        raise CapacityError(
+            f"only {eligible.size} classes have >= {spec.samples_per_class} samples; "
+            f"the batch needs {spec.n_classes}"
+        )
+    chosen = rng.choice(eligible, size=spec.n_classes, replace=False)
+    blocks = []
+    for c in chosen:
+        rows = np.flatnonzero(labels == c)
+        blocks.append(rng.choice(rows, size=spec.samples_per_class, replace=False))
+    return np.concatenate(blocks)
+
+
+@st.composite
+def _label_pools(draw):
+    """Unbalanced class sizes (some below K, some empty), sparse label values, shuffled rows."""
+    n_classes = draw(st.integers(1, 9))
+    values = draw(st.lists(st.integers(-1000, 10**6), min_size=n_classes,
+                           max_size=n_classes, unique=True))
+    counts = draw(st.lists(st.integers(0, 12), min_size=n_classes, max_size=n_classes))
+    labels = np.repeat(np.array(values, dtype=np.int64), counts)
+    if draw(st.booleans()):
+        labels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(labels)
+    spec = BatchSpec(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    return labels, spec, draw(st.integers(0, 2**32 - 1))
+
+
+def _capacity_message(fn):
+    try:
+        fn()
+    except CapacityError as exc:
+        return str(exc)
+    return None
+
+
+class TestPKIndex:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_label_pools())
+    def test_same_rows_stream_and_errors_as_the_label_scan(self, pool):
+        """Labels or a prebuilt index: 20 draws give the rows the label-scan
+        sampler gave, leave the generator where it left it, and refuse
+        an impossible layout with the same CapacityError message."""
+        labels, spec, seed = pool
+        want = _capacity_message(lambda: _label_scan_sample_pk(labels, spec, np.random.default_rng(0)))
+        assert _capacity_message(lambda: pk_index(labels, spec)) == want
+        assert _capacity_message(lambda: sample_pk(labels, spec, np.random.default_rng(0))) == want
+        if want is not None:
+            return
+        index = pk_index(labels, spec)
+        old_rng, label_rng, index_rng = (np.random.default_rng(seed) for _ in range(3))
+        for _ in range(20):
+            old = _label_scan_sample_pk(labels, spec, old_rng)
+            np.testing.assert_array_equal(sample_pk(labels, spec, label_rng), old)
+            rows = sample_pk(index, spec, index_rng)
+            np.testing.assert_array_equal(rows, old)
+            assert rows.dtype == old.dtype
+            # the layout guarantee the training step relies on instead of re-checking it
+            blocks = labels[rows].reshape(spec.n_classes, spec.samples_per_class)
+            assert np.all(blocks == blocks[:, :1])
+            assert np.unique(blocks[:, 0]).size == spec.n_classes
+            assert np.unique(rows).size == rows.size
+        assert old_rng.bit_generator.state == label_rng.bit_generator.state
+        assert old_rng.bit_generator.state == index_rng.bit_generator.state
+
+    def test_index_lists_eligible_classes_in_ascending_order(self):
+        labels = np.array([7, 3, 7, 9, 3, 7, 9, 9, 1])
+        index = pk_index(labels, BatchSpec(2, 3))
+        assert isinstance(index, PKIndex)
+        assert [r.tolist() for r in index.class_rows] == [[0, 2, 5], [3, 6, 7]]
+
+    def test_index_is_read_only(self):
+        index = pk_index(_pk_labels(3, 4), BatchSpec(2, 2))
+        with pytest.raises(ValueError):
+            index.class_rows[0][0] = 5
+
+    def test_index_built_for_another_spec_rejected(self):
+        index = pk_index(_pk_labels(4, 4), BatchSpec(2, 2))
+        with pytest.raises(InvalidConfigError, match="index was built for"):
+            sample_pk(index, BatchSpec(2, 3), np.random.default_rng(0))

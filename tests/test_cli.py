@@ -255,6 +255,35 @@ class TestUsageAndConfigErrors:
         assert run(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "the batch needs 8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag, minimum", [
+        (["gradcheck", "--trials", "0"], "--trials", 1),
+        (["gradcheck", "--trials", "-1"], "--trials", 1),
+        (["hessian-check", "--trials", "-3"], "--trials", 0),
+        (["margin-check", "--trials", "-1"], "--trials", 0),
+        (["robustness-check", "--points", "-2"], "--points", 0),
+    ])
+    def test_probe_counts_below_their_minimum_are_usage_errors(self, argv, flag, minimum, capsys):
+        """A count that checks nothing (gradcheck) or runs fewer probes than
+        asked (negative counts) is refused before any probe runs."""
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be >= {minimum}, got {argv[-1]}" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_probe_count_must_be_an_integer(self, capsys):
+        assert run(["hessian-check", "--trials", "two"]) == 1
+        assert "argument --trials: invalid int value: 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, summary", [
+        (["hessian-check", "--trials", "0"], "hessian-check: PASS (6 probes)"),
+        (["margin-check", "--trials", "0"], "margin-check: PASS (201 grid points)"),
+        (["robustness-check", "--points", "0"], "robustness-check: PASS (1 probes)"),
+    ])
+    def test_zero_extra_probes_still_run_the_fixed_checks(self, argv, summary, capsys):
+        """0 is legal where the command has fixed probes besides the counted ones."""
+        assert run(argv) == 0
+        assert summary in capsys.readouterr().out
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "metriclab" in capsys.readouterr().out

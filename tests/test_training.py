@@ -13,16 +13,19 @@ from metriclab import (
     BatchSpec,
     ClassifierHead,
     DatasetSpec,
+    EmbeddingBatch,
     LossConfig,
     ModelParams,
     OptimState,
     TrainConfig,
     cosine_lr,
+    gen_dataset,
     holdout_split,
     load_model,
     model_forward,
     reference_train_config,
     run_training,
+    sample_pk,
     save_model,
     sgd_update,
     train,
@@ -34,7 +37,45 @@ from metriclab.errors import (
     DivergenceError,
     InvalidConfigError,
 )
-from metriclab.training import _loss_and_grads, snapshot_rows, split_rows
+from metriclab.training import (
+    _VARIANT_LOSSES,
+    _backward,
+    _forward_cached,
+    _loss_and_grads,
+    snapshot_rows,
+    split_rows,
+)
+
+
+def _label_scan_loop(config):
+    """run_training's step loop as it was built before the per-run PK index
+    and the flat parameter vector: a label scan per draw, a spec-checked
+    batch, and one sgd_update entry per parameter array.  Evaluation draws
+    no random numbers, so it is left out.  Returns (digest, losses, n_non)."""
+    dataset = gen_dataset(config.dataset)
+    init_rng, batch_rng, _ = (np.random.default_rng(s)
+                              for s in np.random.SeedSequence(config.seed).spawn(3))
+    train_rows = split_rows(config, dataset.labels)[0]
+    model = ModelParams.init(init_rng, dataset.dim, config.embed_dim, config.dataset.n_classes,
+                             config.hidden_dim, config.init_scale)
+    params = model.param_dict()
+    state = OptimState(momentum=config.momentum, weight_decay=config.weight_decay)
+    losses_, n_non = [], []
+    for step in range(config.total_iters):
+        lr = cosine_lr(step, config.total_iters, config.lr0, config.lr_min)
+        rows = train_rows[sample_pk(dataset.labels[train_rows], config.batch, batch_rng)]
+        embeddings, cache = _forward_cached(model, dataset.features[rows])
+        batch = EmbeddingBatch(embeddings, dataset.labels[rows], config.batch)
+        result = losses.LOSSES[_VARIANT_LOSSES[config.variant]](batch, config.loss, model.head)
+        grads = _backward(model, cache, result.grad)
+        grads["head_weight"] = (result.head_grad_weight if result.head_grad_weight is not None
+                                else np.zeros_like(model.head.weight))
+        grads["head_bias"] = (result.head_grad_bias if result.head_grad_bias is not None
+                              else np.zeros_like(model.head.bias))
+        sgd_update(params, grads, state, lr)
+        losses_.append(result.value)
+        n_non.append(result.n_non)
+    return model.digest(), np.asarray(losses_), np.asarray(n_non, dtype=np.int64)
 
 
 def _small_dataset_spec(seed=3):
@@ -130,6 +171,25 @@ class TestModelParams:
         model.param_dict()["embed_bias"][0] = 7.5
         assert model.embed_bias[0] == 7.5
 
+    @pytest.mark.parametrize("hidden_dim", [None, 5])
+    def test_flatten_keeps_values_and_makes_the_arrays_views(self, hidden_dim):
+        rng = np.random.default_rng(47)
+        model = ModelParams.init(rng, 6, 4, 3, hidden_dim=hidden_dim)
+        before = {name: arr.copy() for name, arr in model.param_dict().items()}
+        digest = model.digest()
+        flat = model.flatten()
+        assert flat.dtype == np.float64 and flat.flags.c_contiguous
+        assert flat.size == sum(a.size for a in before.values())
+        assert model.digest() == digest
+        np.testing.assert_array_equal(
+            flat, np.concatenate([before[n].ravel() for n in model.param_dict()]))
+        for name, arr in model.param_dict().items():
+            np.testing.assert_array_equal(arr, before[name])
+            assert np.shares_memory(arr, flat), name
+        flat += 1.0
+        for name, arr in model.param_dict().items():
+            np.testing.assert_array_equal(arr, before[name] + 1.0)
+
     def test_digest_tracks_parameter_changes(self):
         rng = np.random.default_rng(43)
         model = ModelParams.init(rng, 3, 2, 2)
@@ -190,7 +250,7 @@ class TestModelForward:
         features = rng.standard_normal((4, 3))
         labels = np.array([0, 0, 1, 1])
         cfg = LossConfig(margin=5.0)
-        _, grads = _loss_and_grads(model, features, labels, BatchSpec(2, 2), cfg, variant)
+        _, grads = _loss_and_grads(model, features, labels, cfg, variant)
         h = 1e-6
         for name, param in model.param_dict().items():
             numeric = np.zeros_like(param)
@@ -198,9 +258,9 @@ class TestModelForward:
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + h
-                up = _loss_and_grads(model, features, labels, BatchSpec(2, 2), cfg, variant)[0].value
+                up = _loss_and_grads(model, features, labels, cfg, variant)[0].value
                 flat[k] = orig - h
-                down = _loss_and_grads(model, features, labels, BatchSpec(2, 2), cfg, variant)[0].value
+                down = _loss_and_grads(model, features, labels, cfg, variant)[0].value
                 flat[k] = orig
                 numeric.reshape(-1)[k] = (up - down) / (2 * h)
             np.testing.assert_allclose(grads[name], numeric, rtol=1e-5, atol=1e-7,
@@ -358,6 +418,23 @@ class TestRunTraining:
         monkeypatch.setitem(losses.LOSSES, "triplet", degenerate)
         with pytest.raises(DegenerateVectorError, match="row 3 has zero norm"):
             run_training(_small_config())
+
+    @pytest.mark.parametrize("variant", ["triplet_only", "combined_simce", "combined_m_simce"])
+    @pytest.mark.parametrize("make_config", [
+        lambda variant: _small_config(variant=variant, hidden_dim=5, total_iters=40),
+        lambda variant: reference_train_config(variant, seed=1, total_iters=25, eval_interval=25),
+    ], ids=["small", "reference"])
+    def test_step_matches_the_per_step_label_scan_loop_bit_for_bit(self, variant, make_config):
+        """The per-run PK index, the spec-free step batch and the flat
+        parameter vector change no bit: a loop built the old way (label scan
+        per draw, spec-checked batch, one sgd_update entry per array) gives
+        the same digest, losses and n_non."""
+        config = make_config(variant)
+        report = run_training(config)[0]
+        digest, losses_, n_non = _label_scan_loop(config)
+        np.testing.assert_array_equal(report.losses, losses_)
+        np.testing.assert_array_equal(report.n_non, n_non)
+        assert report.params_digest == digest
 
     def test_loss_curve_descends_on_easy_data(self):
         """On clean well-separated data the tail of the loss curve should
