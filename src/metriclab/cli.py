@@ -51,13 +51,10 @@ ROBUSTNESS_TOLERANCE = 0.05
 LOSS_NAMES = tuple(LOSSES)
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); usage problems are exit 1 here
-        raise UsageError(message)
+    def error(self, message):  # argparse would exit 2; usage problems are exit 1 here
+        # this parser's own usage, so a subcommand's flag error shows that subcommand's flags
+        self.exit(1, f"{self.format_usage()}error: {message}\n")
 
 
 def _count(minimum: int):
@@ -162,7 +159,9 @@ def _write_manifest(out_dir: Path, subcommand: str, payload: dict, seed, artifac
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
-def _emit_report(args, subcommand: str, payload: dict, report: dict) -> None:
+def _emit_report(args, payload: dict, report: dict, detail: str) -> int:
+    """Write the report (to --out or stdout), print the verdict line, return the exit code."""
+    subcommand = payload["subcommand"]
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         out = Path(args.out)
@@ -171,6 +170,8 @@ def _emit_report(args, subcommand: str, payload: dict, report: dict) -> None:
         _write_manifest(out, subcommand, payload, payload.get("seed"), ["report.json"])
     else:
         sys.stdout.write(text)
+    print(f"{subcommand}: {'PASS' if report['pass'] else 'FAIL'} ({detail})")
+    return 0 if report["pass"] else 2
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +205,9 @@ def _cmd_gradcheck(args) -> int:
     ok = all(r["pass"] for r in rows)
     payload = {"subcommand": "gradcheck", "loss": args.loss, "trials": args.trials,
                "seed": args.seed, "tolerance": GRADCHECK_TOLERANCE}
-    _emit_report(args, "gradcheck", payload, {"results": rows, "pass": ok})
-    print(f"gradcheck: {'PASS' if ok else 'FAIL'} "
-          f"(worst {max(r['max_rel_error'] for r in rows):.3e}, tol {GRADCHECK_TOLERANCE:g})")
-    return 0 if ok else 2
+    worst = max(r["max_rel_error"] for r in rows)
+    return _emit_report(args, payload, {"results": rows, "pass": ok},
+                        f"worst {worst:.3e}, tol {GRADCHECK_TOLERANCE:g}")
 
 
 def _cmd_hessian_check(args) -> int:
@@ -249,9 +249,7 @@ def _cmd_hessian_check(args) -> int:
                         "rel_error": rel, "pass": good})
     payload = {"subcommand": "hessian-check", "trials": args.trials, "seed": args.seed,
                "tolerance": TRACE_TOLERANCE}
-    _emit_report(args, "hessian-check", payload, {"probes": reports, "pass": ok})
-    print(f"hessian-check: {'PASS' if ok else 'FAIL'} ({len(reports)} probes)")
-    return 0 if ok else 2
+    return _emit_report(args, payload, {"probes": reports, "pass": ok}, f"{len(reports)} probes")
 
 
 def _cmd_robustness_check(args) -> int:
@@ -283,9 +281,7 @@ def _cmd_robustness_check(args) -> int:
                        "rel_error": rel, "pass": rel <= ROBUSTNESS_TOLERANCE})
     payload = {"subcommand": "robustness-check", "points": args.points,
                "samples": args.samples, "epsilon": args.epsilon, "seed": args.seed}
-    _emit_report(args, "robustness-check", payload, {"probes": probes, "pass": ok})
-    print(f"robustness-check: {'PASS' if ok else 'FAIL'} ({len(probes)} probes)")
-    return 0 if ok else 2
+    return _emit_report(args, payload, {"probes": probes, "pass": ok}, f"{len(probes)} probes")
 
 
 def _cmd_margin_check(args) -> int:
@@ -303,9 +299,7 @@ def _cmd_margin_check(args) -> int:
     report = {"grid_points": int(zs.size), "max_excess": float((residuals - bounds).max()),
               "margins": margins, "pass": ok}
     payload = {"subcommand": "margin-check", "trials": args.trials, "seed": args.seed}
-    _emit_report(args, "margin-check", payload, report)
-    print(f"margin-check: {'PASS' if ok else 'FAIL'} ({zs.size} grid points)")
-    return 0 if ok else 2
+    return _emit_report(args, payload, report, f"{zs.size} grid points")
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +505,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(sys.argv[1:]) if argv is None else list(argv))
-    except UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help prints and leaves
+    except SystemExit as exc:  # --help and usage errors print and leave
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,6 +61,13 @@ class EmbeddingBatch:
         return self.data.shape[1]
 
 
+def _unchecked_batch(data: np.ndarray, labels: np.ndarray, cls=EmbeddingBatch) -> EmbeddingBatch:
+    """An EmbeddingBatch of float64 (B, D) data and B int64 labels, built without any check."""
+    batch = object.__new__(cls)  # cls bound at import: a wrapper later put on the name is no class
+    batch.__dict__.update(data=data, labels=labels, batch_spec=None)
+    return batch
+
+
 @dataclass(frozen=True)
 class SimMatrix:
     """Symmetric B x B similarity matrix tagged with the kind that produced it."""
@@ -120,9 +127,9 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _cosine_values(unit: np.ndarray) -> np.ndarray:
     """Cosines of unit rows, valid by construction: the loss layer skips the SimMatrix checks."""
-    vals = unit @ unit.T
-    # mirror the upper triangle so rounding cannot break symmetry
-    vals = np.triu(vals) + np.triu(vals, 1).T
+    # mirror the upper triangle so rounding cannot break symmetry (diagonal reset below)
+    vals = np.triu(unit @ unit.T)
+    vals += vals.T
     np.clip(vals, -1.0, 1.0, out=vals)
     np.fill_diagonal(vals, 1.0)
     return vals

@@ -218,54 +218,32 @@ def _hinge(geo: BatchGeometry, cfg: LossConfig, ap: np.ndarray, an: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# losses
+# kernels: (value, grad, n_non, n_total[, head grads]) with no checks; the
+# public losses below validate once and wrap the tuple in one LossResult
 
 
-def triplet_loss(batch: EmbeddingBatch, cfg: LossConfig,
-                 geometry: BatchGeometry | None = None) -> LossResult:
-    """Batch-all margin triplet loss on Euclidean distances.
-
-    Per triplet: relu(margin + d(a, p) - d(a, n)).  ``geometry`` is the
-    batch's shared geometry when another term already built it.
-    """
-    geo = geometry or BatchGeometry(batch)
+def _triplet(geo: BatchGeometry, cfg: LossConfig):
     d_ap, d_an = geo.blocks(geo.dist)
     value, lam_p, lam_n, n_non, n_total = _hinge(geo, cfg, d_ap, d_an)
-    grad = _grad_from_dist(geo.coefficients(lam_p, -lam_n), batch.data, geo.dist)
-    return LossResult(value=value, grad=grad, n_non=n_non, n_total=n_total)
+    grad = _grad_from_dist(geo.coefficients(lam_p, -lam_n), geo.batch.data, geo.dist)
+    return value, grad, n_non, n_total
 
 
-def s_triplet_loss(batch: EmbeddingBatch, cfg: LossConfig,
-                   geometry: BatchGeometry | None = None) -> LossResult:
-    """Similarity-weighted triplet loss.
-
-    Each distance is scaled by (1 - cos) / 2 of its pair before entering the
-    hinge, so nearly-parallel positives stop pulling and nearly-parallel
-    negatives push hardest.  Unless cfg.detach_similarity is set, the
-    gradient also flows through the cosine weights themselves.
-    """
-    geo = geometry or BatchGeometry(batch)
+def _s_triplet(geo: BatchGeometry, cfg: LossConfig):
     d_ap, d_an = geo.blocks(geo.dist)
     s_ap, s_an = geo.blocks(geo.sim)
-    w_ap, w_an = weight_from_sim(s_ap), weight_from_sim(s_an)
+    # weight_from_sim without its range checks: _cosine_values clipped the cosines
+    w_ap, w_an = (1.0 - s_ap) / 2.0, (1.0 - s_an) / 2.0
     value, lam_p, lam_n, n_non, n_total = _hinge(geo, cfg, w_ap * d_ap, w_an * d_an)
-    grad = _grad_from_dist(geo.coefficients(lam_p * w_ap, -lam_n * w_an), batch.data, geo.dist)
+    grad = _grad_from_dist(geo.coefficients(lam_p * w_ap, -lam_n * w_an), geo.batch.data, geo.dist)
     if not cfg.detach_similarity:
         # dw/dS = -1/2, with the distances held as multipliers
         Cs = geo.coefficients(-0.5 * lam_p * d_ap, 0.5 * lam_n * d_an)
         grad = grad + _grad_from_cos(Cs, *geo.unit_norms, geo.sim)
-    return LossResult(value=value, grad=grad, n_non=n_non, n_total=n_total)
+    return value, grad, n_non, n_total
 
 
-def simce_loss(batch: EmbeddingBatch, cfg: LossConfig,
-               geometry: BatchGeometry | None = None) -> LossResult:
-    """Two-way softmax cross entropy per triplet on anchor inner products.
-
-    Per triplet: -log(e^{<a,p>/T} / (e^{<a,p>/T} + e^{<a,n>/T})), which is
-    softplus((<a,n> - <a,p>) / T), averaged over all triplets.  Every
-    triplet contributes, so n_non == n_total.
-    """
-    geo = geometry or BatchGeometry(batch)
+def _simce(geo: BatchGeometry, cfg: LossConfig):
     g_ap, g_an = geo.blocks(geo.scores(cfg))
     grid = geo.layout.grid
     n_total = geo.layout.n_triplets
@@ -277,25 +255,14 @@ def simce_loss(batch: EmbeddingBatch, cfg: LossConfig,
     value = float((np.maximum(z, 0.0) + np.log1p(e)).sum(where=grid) / max(n_total, 1))
     lam = np.where(grid, np.where(z >= 0.0, 1.0, e) / (1.0 + e), 0.0)
     grad = geo.score_grad(geo.coefficients(-lam.sum(axis=2) / scale, lam.sum(axis=1) / scale), cfg)
-    return LossResult(value=value, grad=grad, n_non=n_total, n_total=n_total)
+    return value, grad, n_total, n_total
 
 
-def m_simce_loss(batch: EmbeddingBatch, cfg: LossConfig,
-                 geometry: BatchGeometry | None = None) -> LossResult:
-    """Multi-negative softmax cross entropy per positive pair.
-
-    Per ordered pair (a, p): -log(e^{<a,p>/T} / (e^{<a,p>/T} +
-    sum_k e^{<a,n_k>/T})) with every other-class row of the batch as a
-    negative, averaged over pairs.  The negatives' sum depends on the
-    anchor only, so it is taken once per anchor and rescaled per pair.
-    Log-sum-exp is max-shifted, so scores up to about 700 in magnitude stay
-    finite.
-    """
-    geo = geometry or BatchGeometry(batch)
+def _m_simce(geo: BatchGeometry, cfg: LossConfig):
     lay = geo.layout
     n_pairs = lay.n_pairs
     if n_pairs == 0:
-        return LossResult(0.0, np.zeros_like(batch.data), 0, 0)
+        return 0.0, np.zeros_like(geo.batch.data), 0, 0
     g_ap, g_an = geo.blocks(geo.scores(cfg))
     sp = g_ap / cfg.temperature
     # every anchor has a negative here: positives exist, so two classes do
@@ -312,35 +279,77 @@ def m_simce_loss(batch: EmbeddingBatch, cfg: LossConfig,
     c_pos = np.where(lay.pos_mask, e_sp / total - 1.0, 0.0) / scale
     c_neg = e_sn * np.where(lay.pos_mask, rescale / total, 0.0).sum(axis=1, keepdims=True) / scale
     grad = geo.score_grad(geo.coefficients(c_pos, c_neg), cfg)
-    return LossResult(value=value, grad=grad, n_non=n_pairs, n_total=n_pairs)
+    return value, grad, n_pairs, n_pairs
 
 
-def ce_loss(batch: EmbeddingBatch, head: ClassifierHead) -> LossResult:
-    """Softmax cross entropy on head logits, with gradients for the head too."""
-    if batch.dim != head.dim:
-        raise DimensionMismatchError(f"embeddings have dim {batch.dim}, head expects {head.dim}")
-    y = batch.labels
-    if np.any(y < 0) or np.any(y >= head.n_classes):
-        bad = y[(y < 0) | (y >= head.n_classes)][0]
-        raise InvalidLabelError(f"label {bad} outside [0, {head.n_classes})")
-    X = batch.data
-    logits = head.logits(X)
+def _ce(batch: EmbeddingBatch, head: ClassifierHead):
+    X, y, b = batch.data, batch.labels, batch.size
+    logits = X @ head.weight.T + head.bias
     shift = logits.max(axis=1, keepdims=True)
     log_z = shift + np.log(np.exp(logits - shift).sum(axis=1, keepdims=True))
     log_prob = logits - log_z
-    b = batch.size
     value = float(-log_prob[np.arange(b), y].mean())
     dlogits = np.exp(log_prob)
     dlogits[np.arange(b), y] -= 1.0
     dlogits /= b
-    return LossResult(
-        value=value,
-        grad=dlogits @ head.weight,
-        n_non=b,
-        n_total=b,
-        head_grad_weight=dlogits.T @ X,
-        head_grad_bias=dlogits.sum(axis=0),
-    )
+    return value, dlogits @ head.weight, b, b, dlogits.T @ X, dlogits.sum(axis=0)
+
+
+def _check_head(batch: EmbeddingBatch, head: ClassifierHead) -> None:
+    if batch.dim != head.dim:
+        raise DimensionMismatchError(f"embeddings have dim {batch.dim}, head expects {head.dim}")
+    y = batch.labels
+    if y.size and (y.min() < 0 or y.max() >= head.n_classes):
+        bad = y[(y < 0) | (y >= head.n_classes)][0]
+        raise InvalidLabelError(f"label {bad} outside [0, {head.n_classes})")
+
+
+def triplet_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
+    """Batch-all margin triplet loss on Euclidean distances.
+
+    Per triplet: relu(margin + d(a, p) - d(a, n)).
+    """
+    return LossResult(*_triplet(BatchGeometry(batch), cfg))
+
+
+def s_triplet_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
+    """Similarity-weighted triplet loss.
+
+    Each distance is scaled by (1 - cos) / 2 of its pair before entering the
+    hinge, so nearly-parallel positives stop pulling and nearly-parallel
+    negatives push hardest.  Unless cfg.detach_similarity is set, the
+    gradient also flows through the cosine weights themselves.
+    """
+    return LossResult(*_s_triplet(BatchGeometry(batch), cfg))
+
+
+def simce_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
+    """Two-way softmax cross entropy per triplet on anchor inner products.
+
+    Per triplet: -log(e^{<a,p>/T} / (e^{<a,p>/T} + e^{<a,n>/T})), which is
+    softplus((<a,n> - <a,p>) / T), averaged over all triplets.  Every
+    triplet contributes, so n_non == n_total.
+    """
+    return LossResult(*_simce(BatchGeometry(batch), cfg))
+
+
+def m_simce_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
+    """Multi-negative softmax cross entropy per positive pair.
+
+    Per ordered pair (a, p): -log(e^{<a,p>/T} / (e^{<a,p>/T} +
+    sum_k e^{<a,n_k>/T})) with every other-class row of the batch as a
+    negative, averaged over pairs.  The negatives' sum depends on the
+    anchor only, so it is taken once per anchor and rescaled per pair.
+    Log-sum-exp is max-shifted, so scores up to about 700 in magnitude stay
+    finite.
+    """
+    return LossResult(*_m_simce(BatchGeometry(batch), cfg))
+
+
+def ce_loss(batch: EmbeddingBatch, head: ClassifierHead) -> LossResult:
+    """Softmax cross entropy on head logits, with gradients for the head too."""
+    _check_head(batch, head)
+    return LossResult(*_ce(batch, head))
 
 
 def combined_loss(batch: EmbeddingBatch, head: ClassifierHead, cfg: LossConfig,
@@ -350,22 +359,18 @@ def combined_loss(batch: EmbeddingBatch, head: ClassifierHead, cfg: LossConfig,
     variant picks the contrastive term: "simce" (one negative per triplet)
     or "m_simce" (all negatives per positive pair).  All three terms enter
     with unit coefficients; the triplet counters are taken from the hinge
-    term, which is the one that goes quiet as training converges.
+    term, which is the one that goes quiet as training converges.  The
+    checks run once, on the labels and on the summed value and gradient.
     """
     if variant not in COMBINED_VARIANTS:
         raise InvalidConfigError(f"variant must be one of {COMBINED_VARIANTS}, got {variant!r}")
+    _check_head(batch, head)
     geo = BatchGeometry(batch)
-    hinge = s_triplet_loss(batch, cfg, geo)
-    ce = ce_loss(batch, head)
-    contrastive = (simce_loss if variant == "simce" else m_simce_loss)(batch, cfg, geo)
-    return LossResult(
-        value=hinge.value + ce.value + contrastive.value,
-        grad=hinge.grad + ce.grad + contrastive.grad,
-        n_non=hinge.n_non,
-        n_total=hinge.n_total,
-        head_grad_weight=ce.head_grad_weight,
-        head_grad_bias=ce.head_grad_bias,
-    )
+    h_value, h_grad, n_non, n_total = _s_triplet(geo, cfg)
+    ce_value, ce_grad, _, _, head_grad_weight, head_grad_bias = _ce(batch, head)
+    c_value, c_grad, _, _ = (_simce if variant == "simce" else _m_simce)(geo, cfg)
+    return LossResult(h_value + ce_value + c_value, h_grad + ce_grad + c_grad, n_non, n_total,
+                      head_grad_weight, head_grad_bias)
 
 
 # Every loss by name, called as LOSSES[name](batch, cfg, head).  Entries look

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import batching
 from .batching import BatchSpec, pk_index, sample_pk
-from .core import EmbeddingBatch
+from .core import EmbeddingBatch, _unchecked_batch
 from .errors import DimensionMismatchError, DivergenceError, InvalidConfigError, NonFiniteError
 from .evaluation import METRICS, GalleryProbeSplit, GeometryReport, build_geometry_report, rank1
 from .losses import LOSSES, ClassifierHead, LossConfig
@@ -370,8 +370,9 @@ def holdout_split(labels, fraction: float, rng: np.random.Generator):
 
 def _loss_and_grads(model: ModelParams, features, labels, loss_cfg, variant):
     embeddings, cache = _forward_cached(model, features)
-    # no spec: sample_pk rows always form the [N, K] layout, so only shape and finiteness are checked
-    batch = EmbeddingBatch(embeddings, labels)
+    # unchecked: the forward pass fixes the shapes, sample_pk the [N, K] layout, and the
+    # loss result's finiteness check also catches overflow inside a loss on finite rows
+    batch = _unchecked_batch(embeddings, labels)
     result = LOSSES[_VARIANT_LOSSES[variant]](batch, loss_cfg, model.head)
     grads = _backward(model, cache, result.grad)
     zeros = lambda a: np.zeros_like(a)  # noqa: E731 - tiny local alias

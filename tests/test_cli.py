@@ -270,6 +270,20 @@ class TestUsageAndConfigErrors:
         assert f"argument {flag}: must be >= {minimum}, got {argv[-1]}" in captured.err
         assert "PASS" not in captured.out
 
+    def test_flag_error_prints_the_subcommand_usage(self, capsys):
+        """The usage line comes from the subcommand that refused the flag, so
+        it names the flag; the top-level usage lists only the subcommands."""
+        assert run(["gradcheck", "--trials", "0"]) == 1
+        usage = capsys.readouterr().err.split("error:")[0]
+        assert usage.startswith("usage: metriclab gradcheck")
+        assert "--trials" in usage
+
+    def test_unknown_subcommand_prints_the_top_level_usage(self, capsys):
+        assert run(["frobnicate"]) == 1
+        usage = capsys.readouterr().err.split("error:")[0]
+        assert usage.startswith("usage: metriclab [-h]")
+        assert "{gradcheck," in usage
+
     def test_probe_count_must_be_an_integer(self, capsys):
         assert run(["hessian-check", "--trials", "two"]) == 1
         assert "argument --trials: invalid int value: 'two'" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from metriclab import (
     similarity_matrix,
     write_sim_matrix_csv,
 )
+from metriclab.core import _cosine_values, _unit_rows
 from metriclab.errors import DegenerateVectorError, DimensionMismatchError
 
 
@@ -164,6 +165,59 @@ class TestSimilarityMatrix:
         batch = _random_pk_batch(np.random.default_rng(25), 2, 2, 3)
         with pytest.raises(ValueError):
             similarity_matrix(batch, kind="dot")
+
+
+def _two_triu_cosine_values(unit):
+    """The mirror _cosine_values used before its in-place form: two triu passes and a sum."""
+    vals = unit @ unit.T
+    vals = np.triu(vals) + np.triu(vals, 1).T
+    np.clip(vals, -1.0, 1.0, out=vals)
+    np.fill_diagonal(vals, 1.0)
+    return vals
+
+
+def _nearly(rng, base, rows, eps):
+    return base + eps * rng.standard_normal((rows, base.size))
+
+
+_AXES = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0],
+                  [0.0, 0.0, 2.0], [0.0, -0.0, -3.0], [-0.0, 5.0, 0.0]])
+_MIRROR_ROWS = {
+    # exact zeros in the rows: zero and +-1 cosines come out exactly
+    "axis_aligned": _AXES,
+    "zeros_mixed": np.array([[0.6, 0.0, 0.8], [0.0, -1.0, 0.0], [-0.8, 0.0, 0.6],
+                             [0.0, 0.0, -1.0], [0.3, -0.0, 0.0]]),
+    # rounding pushes cosines of nearly (anti)parallel rows past +-1 before the clip
+    "nearly_parallel": _nearly(np.random.default_rng(41), np.arange(1.0, 6.0), 7, 1e-9),
+    "nearly_antiparallel": np.vstack([
+        _nearly(np.random.default_rng(42), np.ones(4), 3, 1e-12),
+        -_nearly(np.random.default_rng(43), np.ones(4), 3, 1e-12)]),
+    "single_row": np.array([[3.0, -4.0]]),
+    "random_16x8": np.random.default_rng(44).standard_normal((16, 8)),
+    "random_64x16": np.random.default_rng(45).standard_normal((64, 16)),
+}
+
+
+class TestCosineValuesMirror:
+    @pytest.mark.parametrize("name", sorted(_MIRROR_ROWS))
+    def test_matches_the_two_triu_form_bit_for_bit(self, name):
+        """One triu and an in-place vals += vals.T give the old two-triu sum's
+        bits, signed zeros included: each off-diagonal entry is still v + 0.0
+        or 0.0 + v, and the doubled diagonal is overwritten."""
+        unit = _unit_rows(_MIRROR_ROWS[name])[0]
+        new, old = _cosine_values(unit), _two_triu_cosine_values(unit)
+        np.testing.assert_array_equal(new.view(np.int64), old.view(np.int64))
+        np.testing.assert_array_equal(new.view(np.int64), new.T.view(np.int64))
+        assert not np.any(np.signbit(new) & (new == 0.0))
+
+    def test_the_cases_reach_zeros_and_the_clip(self):
+        """The rows above do produce exact zero cosines, off-diagonal cosines of
+        exactly 1, and products past -1 that the clip has to bring back."""
+        assert np.count_nonzero(_cosine_values(_unit_rows(_AXES)[0]) == 0.0) >= 10
+        unit = _unit_rows(_MIRROR_ROWS["nearly_parallel"])[0]
+        assert np.count_nonzero(_cosine_values(unit) == 1.0) > len(unit)
+        unit = _unit_rows(_MIRROR_ROWS["nearly_antiparallel"])[0]
+        assert np.any(unit @ unit.T < -1.0)
 
 
 class TestSimMatrixType:

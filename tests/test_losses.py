@@ -31,7 +31,7 @@ from metriclab import (
     triplet_loss,
     weight_from_sim,
 )
-from metriclab.errors import InvalidConfigError, InvalidLabelError, NoNegativesError
+from metriclab.errors import InvalidConfigError, InvalidLabelError, NoNegativesError, NonFiniteError
 from metriclab.losses import COMBINED_VARIANTS, REDUCTIONS
 
 
@@ -137,6 +137,10 @@ class TestWeightFromSim:
             weight_from_sim(1.5)
         with pytest.raises(ValueError):
             weight_from_sim(-1.0001)
+        with pytest.raises(ValueError):
+            weight_from_sim(np.nan)
+        with pytest.raises(ValueError):
+            weight_from_sim(np.array([0.5, 1.5]))
 
 
 class TestTripletLoss:
@@ -599,6 +603,54 @@ class TestLossConfigAndResult:
             LossResult(value=0.0, grad=grad, n_non=0, n_total=1)
 
 
+class TestBoundaryChecks:
+    """Each public loss validates once, at its boundary, over unchecked kernels:
+    label range against the head, and finiteness of the value and gradient."""
+
+    def _batch(self, scale=1.0):
+        data = np.random.default_rng(95).standard_normal((6, 3)) * scale
+        return EmbeddingBatch(data, [0, 0, 1, 1, 2, 2])
+
+    @pytest.mark.parametrize("call", [
+        lambda b, h: ce_loss(b, h),
+        lambda b, h: combined_loss(b, h, LossConfig(), "simce"),
+        lambda b, h: combined_loss(b, h, LossConfig(), "m_simce"),
+    ], ids=["ce", "combined_simce", "combined_m_simce"])
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 1, 2, 2], [0, 0, 1, 1, -1, -1]],
+                             ids=["at_n_classes", "negative"])
+    def test_label_outside_the_head_rejected(self, call, labels):
+        """The head has 2 classes, so label 2 (and -1) is out of range."""
+        batch = EmbeddingBatch(self._batch().data, labels)
+        head = ClassifierHead.init(np.random.default_rng(96), n_classes=2, dim=3)
+        bad = labels[-1]
+        with pytest.raises(InvalidLabelError, match=rf"label {bad} outside \[0, 2\)"):
+            call(batch, head)
+
+    @pytest.mark.parametrize("name, call", [
+        # on rows of about 1e150: 1e308 margins sum past the largest double
+        ("triplet", lambda b, h: triplet_loss(b, LossConfig(margin=1e308))),
+        ("s_triplet", lambda b, h: s_triplet_loss(b, LossConfig(margin=1e308))),
+        # raw inner products of about 1e300 overflow once divided by 1e-10
+        ("simce", lambda b, h: simce_loss(b, LossConfig(temperature=1e-10))),
+        ("m_simce", lambda b, h: m_simce_loss(b, LossConfig(temperature=1e-10))),
+        # head weights of about 1e199 overflow the logits
+        ("ce", lambda b, h: ce_loss(b, ClassifierHead(h.weight * 1e200, h.bias))),
+        ("combined_simce",
+         lambda b, h: combined_loss(b, h, LossConfig(temperature=1e-10), "simce")),
+        ("combined_m_simce",
+         lambda b, h: combined_loss(b, h, LossConfig(temperature=1e-10), "m_simce")),
+    ])
+    def test_overflowing_result_rejected(self, name, call):
+        """Finite embeddings whose loss overflows: the kernel runs unchecked,
+        the public boundary refuses the non-finite result."""
+        batch = self._batch(scale=1e150)
+        assert np.all(np.isfinite(batch.data))
+        head = ClassifierHead.init(np.random.default_rng(97), n_classes=3, dim=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                call(batch, head)
+
+
 class TestNoPositivePair:
     """A batch of singleton classes has no triplet and no positive pair."""
 
@@ -696,3 +748,30 @@ def test_pair_losses_match_loop_oracles_on_arbitrary_layouts(name, drawn, cfg):
     numeric = _central_differences(lambda d: _brute_loss(name, d, labels, cfg, frozen)[0], data)
     scale = max(1.0, float(np.abs(numeric).max()))
     np.testing.assert_allclose(result.grad, numeric, rtol=0.0, atol=1e-6 * scale)
+
+
+@pytest.mark.parametrize("variant", COMBINED_VARIANTS)
+@pytest.mark.parametrize("detach", [False, True], ids=["attached", "detached"])
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "cosine"])
+@PROPERTY_SETTINGS
+@given(drawn=_labelled_data(), head_seed=st.integers(0, 2**32 - 1))
+def test_combined_loss_is_the_bitwise_sum_of_the_public_losses(variant, detach, normalize,
+                                                               drawn, head_seed):
+    """combined_loss runs the three private kernels and checks once; its value,
+    gradient, counters and head gradients must still equal, bit for bit, what
+    the public s_triplet_loss + ce_loss + contrastive loss give, on unbalanced,
+    singleton-class and no-pair layouts alike."""
+    data, labels = drawn
+    cfg = LossConfig(margin=0.3, normalize_for_simce=normalize, detach_similarity=detach)
+    batch = EmbeddingBatch(data, labels)
+    rng = np.random.default_rng(head_seed)
+    head = ClassifierHead.init(rng, int(labels.max()) + 1, data.shape[1])
+    total = combined_loss(batch, head, cfg, variant)
+    hinge, ce = s_triplet_loss(batch, cfg), ce_loss(batch, head)
+    contrastive = (simce_loss if variant == "simce" else m_simce_loss)(batch, cfg)
+    bits = lambda x: np.asarray(x, dtype=np.float64).tobytes()  # noqa: E731 - signed zeros too
+    assert bits(total.value) == bits(hinge.value + ce.value + contrastive.value)
+    assert bits(total.grad) == bits(hinge.grad + ce.grad + contrastive.grad)
+    assert (total.n_non, total.n_total) == (hinge.n_non, hinge.n_total)
+    assert bits(total.head_grad_weight) == bits(ce.head_grad_weight)
+    assert bits(total.head_grad_bias) == bits(ce.head_grad_bias)

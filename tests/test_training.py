@@ -409,6 +409,16 @@ class TestRunTraining:
             with pytest.raises(DivergenceError, match="iteration"):
                 run_training(config)
 
+    def test_overflow_inside_the_loss_on_finite_embeddings_raises_divergence_error(self):
+        """Finite embeddings whose raw inner products (about 1e300) overflow
+        once divided by a 1e-10 temperature: the step's batch is finite, so
+        only the check on the loss result can stop iteration 0."""
+        config = _small_config(variant="combined_simce", loss=LossConfig(temperature=1e-10),
+                               init_scale=1e150, total_iters=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="iteration 0: loss value is non-finite"):
+                run_training(config)
+
     def test_other_loss_errors_keep_their_type(self, monkeypatch):
         """Only non-finite values become DivergenceError: a zero-norm
         embedding row reaches the caller as itself, message intact."""
