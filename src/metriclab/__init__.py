@@ -32,7 +32,6 @@ from .core import (
     EmbeddingBatch,
     SimMatrix,
     cosine_sim,
-    euclidean_dist,
     read_sim_matrix_csv,
     similarity_matrix,
     write_sim_matrix_csv,
@@ -40,7 +39,6 @@ from .core import (
 from .evaluation import (
     GalleryProbeSplit,
     GeometryReport,
-    VarianceStats,
     build_geometry_report,
     rank1,
     snapshot_sim_matrix,

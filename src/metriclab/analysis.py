@@ -12,13 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .batching import BatchSpec, enumerate_triplets
-from .core import EmbeddingBatch
+from .batching import BatchSpec
+from .core import EmbeddingBatch, _unchecked_batch
 from .errors import EvaluationError, InvalidConfigError, SingularityError
+from .losses import BatchGeometry
 
 
 # antithetic pairs per robustness_gap block; larger blocks only add peak memory
 _MC_BLOCK_PAIRS = 1024
+# closest a gradcheck batch's hinge argument may sit to its kink: 10x batch_gradcheck's step
+_KINK_GAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -211,30 +214,28 @@ def dynamic_margin(a, p, n, temperature: float = 1.0) -> tuple[float, float]:
 
 
 def sample_gradcheck_batch(rng: np.random.Generator, n_classes: int, samples_per_class: int,
-                           dim: int, cfg, min_gap: float = 1e-4) -> EmbeddingBatch:
+                           dim: int, cfg) -> EmbeddingBatch:
     """Standard-normal PK batch resampled until no hinge argument sits near zero.
 
     Central differences straddle a relu kink whenever a hinge argument lies
-    within the step of zero, so such batches are rejected; both the plain
-    and the similarity-weighted hinge are screened with cfg.margin.
+    within the step of zero, so batches with any argument closer than
+    _KINK_GAP are rejected; both the plain and the similarity-weighted hinge
+    are screened with cfg.margin, over the batch geometry the losses read.
     """
     spec = BatchSpec(n_classes, samples_per_class)
     labels = np.repeat(np.arange(n_classes), samples_per_class)
-    tri = enumerate_triplets(labels)
-    a, p, n = tri.anchors, tri.positives, tri.negatives
     off_diag = ~np.eye(spec.batch_size, dtype=bool)
     while True:
         X = rng.standard_normal((spec.batch_size, dim))
-        diff = X[:, None, :] - X[None, :, :]
-        D = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        if D[off_diag].min() < 1e-3:
+        geo = BatchGeometry(_unchecked_batch(X, labels))
+        if geo.dist[off_diag].min() < 1e-3:
             continue
-        unit = X / np.linalg.norm(X, axis=1)[:, None]
-        S = np.clip(unit @ unit.T, -1.0, 1.0)
-        plain = cfg.margin + D[a, p] - D[a, n]
-        w = (1.0 - S) / 2.0
-        weighted = cfg.margin + w[a, p] * D[a, p] - w[a, n] * D[a, n]
-        if min(np.abs(plain).min(), np.abs(weighted).min()) >= min_gap:
+        d_ap, d_an = geo.blocks(geo.dist)
+        w_ap, w_an = ((1.0 - s) / 2.0 for s in geo.blocks(geo.sim))
+        plain = cfg.margin + d_ap[:, :, None] - d_an[:, None, :]
+        weighted = cfg.margin + (w_ap * d_ap)[:, :, None] - (w_an * d_an)[:, None, :]
+        grid = geo.layout.grid
+        if min(np.abs(plain)[grid].min(), np.abs(weighted)[grid].min()) >= _KINK_GAP:
             return EmbeddingBatch(X, labels, spec)
 
 

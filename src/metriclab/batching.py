@@ -42,12 +42,6 @@ class BatchSpec:
     def batch_size(self) -> int:
         return self.n_classes * self.samples_per_class
 
-    @property
-    def n_triplets(self) -> int:
-        """N*K*(K-1) anchor/positive pairs, each against (N-1)*K negatives."""
-        n, k = self.n_classes, self.samples_per_class
-        return n * k * (k - 1) * (n - 1) * k
-
 
 @dataclass(frozen=True)
 class TripletIndexSet:
@@ -232,19 +226,15 @@ def pk_index(labels, spec: BatchSpec) -> PKIndex:
     return PKIndex(spec, tuple(_freeze(np.flatnonzero(labels == c)) for c in eligible))
 
 
-def sample_pk(labels, spec: BatchSpec, rng: np.random.Generator) -> np.ndarray:
+def sample_pk(index: PKIndex, rng: np.random.Generator) -> np.ndarray:
     """Draw a PK batch of dataset row indices, without replacement at both levels.
 
-    Picks ``spec.n_classes`` distinct classes among those with at least
-    ``spec.samples_per_class`` rows, then ``samples_per_class`` distinct rows
-    from each.  The result is class-block contiguous, so the labels of the
-    rows always form a full [N, K] layout.  Deterministic given the
-    generator state.  ``labels`` is a label array or a :class:`PKIndex` of
-    one built for ``spec``; both make the same draws from ``rng``.
+    Picks ``index.spec.n_classes`` distinct classes among the indexed ones,
+    then ``samples_per_class`` distinct rows from each.  The result is
+    class-block contiguous, so the labels of the rows always form a full
+    [N, K] layout.  Deterministic given the generator state.
     """
-    index = labels if isinstance(labels, PKIndex) else pk_index(labels, spec)
-    if index.spec != spec:
-        raise InvalidConfigError(f"index was built for {index.spec}, not {spec}")
+    spec = index.spec
     # choice(n) then indexing consumes the stream choice(array of length n) does
     chosen = rng.choice(len(index.class_rows), size=spec.n_classes, replace=False)
     blocks = []

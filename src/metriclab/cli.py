@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .analysis import (
     triplet_trace_closed,
 )
 from .batching import BatchSpec, enumerate_pos_pairs, enumerate_triplets
-from .core import EmbeddingBatch, euclidean_dist
+from .core import EmbeddingBatch
 from .errors import InvalidConfigError
 from .evaluation import snapshot_sim_matrix
 from .losses import LOSSES, ClassifierHead, LossConfig
@@ -81,7 +82,6 @@ class ExperimentConfig:
     batch: BatchSpec | None = None
     loss: LossConfig = LossConfig()
     train: dict = field(default_factory=dict)
-    probe: RobustnessProbe | None = None
     raw_payload: dict = field(default_factory=dict)
 
     @classmethod
@@ -94,7 +94,7 @@ class ExperimentConfig:
             raise InvalidConfigError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise InvalidConfigError(f"{path}: top level must be a JSON object")
-        known = {"seed", "dataset", "batch", "loss", "train", "probe"}
+        known = {"seed", "dataset", "batch", "loss", "train"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise InvalidConfigError(f"{path}: unknown config key {unknown[0]!r}")
@@ -109,7 +109,6 @@ class ExperimentConfig:
         dataset = _build_section(DatasetSpec, payload.get("dataset"), "dataset")
         batch = _build_section(BatchSpec, payload.get("batch"), "batch")
         loss = _build_section(LossConfig, payload.get("loss"), "loss") or LossConfig()
-        probe = _build_section(RobustnessProbe, payload.get("probe"), "probe")
         train = payload.get("train", {})
         if not isinstance(train, dict):
             raise InvalidConfigError("config section 'train' must be an object")
@@ -119,16 +118,13 @@ class ExperimentConfig:
         if bad:
             raise InvalidConfigError(f"unknown key {bad[0]!r} in config section 'train'")
         return cls(seed=seed, dataset=dataset, batch=batch, loss=loss,
-                   train=dict(train), probe=probe, raw_payload=payload)
+                   train=dict(train), raw_payload=payload)
 
     def train_config(self) -> TrainConfig:
         if self.dataset is None or self.batch is None:
             raise InvalidConfigError("training needs both a 'dataset' and a 'batch' section")
         return TrainConfig(dataset=self.dataset, batch=self.batch, loss=self.loss,
                            seed=self.seed, **self.train)
-
-    def sha256(self) -> str:
-        return _sha256_of(self.raw_payload)
 
 
 def _build_section(cls, section, name):
@@ -220,10 +216,11 @@ def _cmd_hessian_check(args) -> int:
             v = direction / np.linalg.norm(direction) * scale
             a = rng.standard_normal(dim)
             p = a + rng.standard_normal(dim) * 0.05
-            margin = float(euclidean_dist(a, a - v) - euclidean_dist(a, p) + 0.5)
+            d_ap = float(np.linalg.norm(a - p))
+            margin = float(np.linalg.norm(a - (a - v))) - d_ap + 0.5
 
-            def hinge(n_vec, a=a, p=p, margin=margin):
-                return max(0.0, margin + euclidean_dist(a, p) - euclidean_dist(a, n_vec))
+            def hinge(n_vec, a=a, d_ap=d_ap, margin=margin):
+                return max(0.0, margin + d_ap - float(np.linalg.norm(a - n_vec)))
 
             numeric = numeric_hessian_trace(hinge, a - v, h=1e-4)
             closed = triplet_trace_closed(v)
@@ -306,77 +303,70 @@ def _cmd_margin_check(args) -> int:
 # data / training subcommands
 
 
-def _require_out(args) -> Path:
-    if not args.out:
-        raise InvalidConfigError("this subcommand needs --out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _data_command(fn):
+    """Run ``fn(config, args)`` on the config with ``--seed`` applied; write what it returns.
+
+    ``fn`` checks its inputs and does its work before ``--out`` is created, so a
+    refused config leaves no directory; it returns {file name: writer} and a summary line.
+    """
+    def command(args) -> int:
+        config = ExperimentConfig.from_file(args.config, args.seed)
+        artifacts, summary = fn(config, args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in artifacts.items():
+            write(out / name)
+        _write_manifest(out, args.subcommand, config.raw_payload, config.seed, artifacts)
+        print(summary)
+        return 0
+    return command
 
 
-def _cmd_gen_data(args) -> int:
-    config = ExperimentConfig.from_file(args.config, args.seed)
+def _gen_data(config, args):
     if config.dataset is None:
         raise InvalidConfigError("config has no 'dataset' section")
-    out = _require_out(args)
     dataset = gen_dataset(config.dataset)
-    write_dataset_csv(dataset, out / "dataset.csv")
-    _write_manifest(out, "gen-data", config.raw_payload, config.seed, ["dataset.csv"])
-    print(f"gen-data: wrote {dataset.n_samples} rows of dim {dataset.dim} to {out / 'dataset.csv'}")
-    return 0
+    return ({"dataset.csv": partial(write_dataset_csv, dataset)},
+            f"gen-data: wrote {dataset.n_samples} rows of dim {dataset.dim} "
+            f"to {Path(args.out) / 'dataset.csv'}")
 
 
-def _cmd_train(args) -> int:
-    config = ExperimentConfig.from_file(args.config, args.seed)
+def _train(config, args):
     train_cfg = config.train_config()
-    out = _require_out(args)
     total = train_cfg.total_iters
     marks = {"start": 0, "mid": total // 2, "end": total}
     report, model, _, _, snapshots = run_training(train_cfg, marks.values())
-    report.write_curves_csv(out / "curves.csv")
-    report.write_eval_csv(out / "evals.csv")
-    save_model(model, out / "model.json")
-    artifacts = ["curves.csv", "evals.csv", "model.json"]
+    artifacts = {"curves.csv": report.write_curves_csv, "evals.csv": report.write_eval_csv,
+                 "model.json": partial(save_model, model)}
     for tag, iteration in marks.items():
-        snapshot_sim_matrix(snapshots[iteration], out / f"sim_{tag}.csv")
-        artifacts.append(f"sim_{tag}.csv")
-    _write_manifest(out, "train", config.raw_payload, config.seed, artifacts)
-    print(f"train: {train_cfg.variant} for {total} iterations; "
-          f"final rank1 {report.rank1[-1]:.4f}, digest {report.params_digest[:12]}")
-    return 0
+        artifacts[f"sim_{tag}.csv"] = partial(snapshot_sim_matrix, snapshots[iteration])
+    return artifacts, (f"train: {train_cfg.variant} for {total} iterations; "
+                       f"final rank1 {report.rank1[-1]:.4f}, digest {report.params_digest[:12]}")
 
 
-def _cmd_eval(args) -> int:
-    config = ExperimentConfig.from_file(args.config, args.seed)
+def _eval(config, args):
     train_cfg = config.train_config()
-    out = _require_out(args)
     model = load_model(args.model)
     dataset = gen_dataset(train_cfg.dataset)
     _, gallery_rows, probe_rows = split_rows(train_cfg, dataset.labels)
     rank1, geo = evaluate(model, dataset, gallery_rows, probe_rows, train_cfg)
     metrics = {"rank1": rank1, **dataclasses.asdict(geo)}
-    (out / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="ascii")
-    _write_manifest(out, "eval", config.raw_payload, config.seed, ["metrics.json"])
-    print(f"eval: rank1 {metrics['rank1']:.4f}, uniformity {metrics['uniformity']:.4f}")
-    return 0
+    text = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+    return ({"metrics.json": lambda path: path.write_text(text, encoding="ascii")},
+            f"eval: rank1 {metrics['rank1']:.4f}, uniformity {metrics['uniformity']:.4f}")
 
 
-def _cmd_export_sim(args) -> int:
-    config = ExperimentConfig.from_file(args.config, args.seed)
+def _export_sim(config, args):
     if config.dataset is None or config.batch is None:
         raise InvalidConfigError("export-sim needs 'dataset' and 'batch' sections")
-    out = _require_out(args)
     dataset = gen_dataset(config.dataset)
     rows = snapshot_rows(config.seed, config.batch, dataset.labels)
     data = dataset.features[rows]
     if args.model:
-        data = model_forward(load_model(args.model), data)[0]
+        data = model_forward(load_model(args.model), data)
     batch = EmbeddingBatch(data, dataset.labels[rows], config.batch)
-    snapshot_sim_matrix(batch, out / "sim.csv", kind=args.kind)
-    _write_manifest(out, "export-sim", config.raw_payload, config.seed, ["sim.csv"])
-    print(f"export-sim: wrote a {batch.size}x{batch.size} {args.kind} matrix")
-    return 0
+    return ({"sim.csv": partial(snapshot_sim_matrix, batch, kind=args.kind)},
+            f"export-sim: wrote a {batch.size}x{batch.size} {args.kind} matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -457,47 +447,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="metriclab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, **kwargs):
+    def add_check(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=fn)
-        p.add_argument("--out", help="directory for reports and the run manifest")
+        p.add_argument("--out", help="directory for the report and its manifest (default: stdout)")
+        p.add_argument("--seed", type=int, default=0)
         return p
 
-    p = add("gradcheck", _cmd_gradcheck, help="finite-difference check of every loss gradient")
+    p = add_check("gradcheck", _cmd_gradcheck, help="finite-difference check of every loss gradient")
     p.add_argument("--loss", default="all", help=f"one of {('all',) + LOSS_NAMES}")
     p.add_argument("--trials", type=_count(1), default=20)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = add("hessian-check", _cmd_hessian_check, help="trace probes against their closed forms")
+    p = add_check("hessian-check", _cmd_hessian_check, help="trace probes against their closed forms")
     p.add_argument("--trials", type=_count(0), default=50)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = add("robustness-check", _cmd_robustness_check, help="Monte-Carlo noise-gap vs prediction")
+    p = add_check("robustness-check", _cmd_robustness_check, help="Monte-Carlo noise-gap vs prediction")
     p.add_argument("--points", type=_count(0), default=5)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_count(1), default=100_000)
     p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = add("margin-check", _cmd_margin_check, help="Taylor-residual bound and dynamic margins")
+    p = add_check("margin-check", _cmd_margin_check, help="Taylor-residual bound and dynamic margins")
     p.add_argument("--trials", type=_count(0), default=5)
-    p.add_argument("--seed", type=int, default=0)
 
-    def add_configured(name, fn, **kwargs):
-        p = add(name, fn, **kwargs)
+    def add_data(name, fn, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=_data_command(fn))
+        p.add_argument("--out", required=True, help="directory for the artifacts and the run manifest")
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None,
                        help="run seed S; the dataset seed becomes 1000*S + 17")
         return p
 
-    add_configured("gen-data", _cmd_gen_data, help="generate the configured synthetic dataset")
-    add_configured("train", _cmd_train, help="train the configured model and write all curves")
-    p = add_configured("eval", _cmd_eval, help="retrieval and geometry metrics for a saved model")
+    add_data("gen-data", _gen_data, help="generate the configured synthetic dataset")
+    add_data("train", _train, help="train the configured model and write all curves")
+    p = add_data("eval", _eval, help="retrieval and geometry metrics for a saved model")
     p.add_argument("--model", required=True)
-    p = add_configured("export-sim", _cmd_export_sim, help="similarity matrix of one PK batch")
+    p = add_data("export-sim", _export_sim, help="similarity matrix of one PK batch")
     p.add_argument("--model", default=None)
     p.add_argument("--kind", default="cosine", choices=("cosine", "cosine_over_max"))
 
-    add("selftest", _cmd_selftest, help="condensed end-to-end invariant sweep")
+    p = sub.add_parser("selftest", help="condensed end-to-end invariant sweep")
+    p.set_defaults(func=_cmd_selftest)
     return parser
 
 

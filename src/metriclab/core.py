@@ -95,14 +95,6 @@ class SimMatrix:
         return self.values.shape[0]
 
 
-def euclidean_dist(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"shape {x.shape} vs {y.shape}")
-    return float(np.linalg.norm(x - y))
-
-
 def cosine_sim(x, y) -> float:
     """Cosine of the angle between x and y, clamped to [-1, 1]."""
     x = np.asarray(x, dtype=np.float64)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +11,7 @@ from .errors import (
     DegenerateConcentrationError,
     DegenerateVectorError,
     DimensionMismatchError,
+    NonFiniteError,
 )
 from .synth import estimate_kappa
 
@@ -62,11 +61,6 @@ class GeometryReport:
     inter_class_dist: float
     inter_intra_ratio: float
     degenerate_classes: tuple[int, ...] = ()
-
-    def write_json(self, path) -> None:
-        payload = asdict(self)
-        payload["degenerate_classes"] = list(self.degenerate_classes)
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
 def rank1(split: GalleryProbeSplit) -> float:
@@ -163,8 +157,12 @@ def variance_ratio(embeddings, labels) -> VarianceStats:
 def build_geometry_report(embeddings, labels, t: float = 2.0) -> GeometryReport:
     """Bundle uniformity, the concentration estimate, and the distance ratio."""
     X = np.asarray(embeddings, dtype=np.float64)
-    stats = variance_ratio(X, labels)
     norms = np.linalg.norm(X, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        cause = ": float64 overflow" if np.isfinite(X[bad[0]]).all() else " (inf or nan entries)"
+        raise NonFiniteError(f"embedding row {bad[0]} has norm {norms[bad[0]]}{cause}")
+    stats = variance_ratio(X, labels)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateVectorError(f"row {zero[0]} has zero norm and no direction")

@@ -111,14 +111,6 @@ class ClassifierHead:
     def init(cls, rng: np.random.Generator, n_classes: int, dim: int, scale: float = 0.1):
         return cls(rng.standard_normal((n_classes, dim)) * scale, np.zeros(n_classes))
 
-    def logits(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"embeddings have dim {data.shape[-1]}, head expects {self.dim}"
-            )
-        return data @ self.weight.T + self.bias
-
 
 def weight_from_sim(s):
     """Map similarity s in [-1, 1] to the weight (1 - s) / 2 in [0, 1]."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +63,6 @@ class ModelParams:
     def input_dim(self) -> int:
         first = self.hidden_weight if self.hidden_weight is not None else self.embed_weight
         return first.shape[1]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.embed_weight.shape[0]
 
     @classmethod
     def init(cls, rng: np.random.Generator, input_dim: int, embed_dim: int, n_classes: int,
@@ -137,10 +133,9 @@ def _forward_cached(model: ModelParams, features: np.ndarray):
     return embeddings, (X, hidden_out, pre_embed)
 
 
-def model_forward(model: ModelParams, features) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings and class logits for a feature matrix.  Pure and deterministic."""
-    embeddings, _ = _forward_cached(model, np.asarray(features, dtype=np.float64))
-    return embeddings, model.head.logits(embeddings)
+def model_forward(model: ModelParams, features) -> np.ndarray:
+    """Embeddings of a feature matrix.  Pure and deterministic."""
+    return _forward_cached(model, features)[0]
 
 
 def _backward(model: ModelParams, cache, grad_embed: np.ndarray) -> dict[str, np.ndarray]:
@@ -158,11 +153,11 @@ def _backward(model: ModelParams, cache, grad_embed: np.ndarray) -> dict[str, np
 
 @dataclass
 class OptimState:
-    """SGD hyper-parameters plus one momentum buffer per parameter."""
+    """SGD hyper-parameters plus the momentum buffer of the one array they update."""
 
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    buffers: dict[str, np.ndarray] = field(default_factory=dict)
+    buffer: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
@@ -171,32 +166,23 @@ class OptimState:
             raise InvalidConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
-def sgd_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: OptimState, lr: float):
-    """One coupled-decay momentum step, in place.
+def sgd_update(param: np.ndarray, grad: np.ndarray, state: OptimState, lr: float) -> None:
+    """One coupled-decay momentum step of ``param``, in place.
 
     g = grad + weight_decay * param; buf = momentum * buf + g;
-    param -= lr * buf.  Buffers appear on first use.
+    param -= lr * buf.  The buffer appears on first use.
     """
     if lr < 0.0:
         raise InvalidConfigError(f"lr must be >= 0, got {lr}")
-    for name, param in params.items():
-        if name not in grads:
-            raise DimensionMismatchError(f"no gradient supplied for parameter {name!r}")
-        grad = grads[name]
-        if grad.shape != param.shape:
-            raise DimensionMismatchError(
-                f"gradient shape {grad.shape} does not match parameter {name!r} {param.shape}"
-            )
-        g = grad + state.weight_decay * param
-        buf = state.buffers.get(name)
-        if buf is None:
-            buf = np.zeros_like(param)
-            state.buffers[name] = buf
-        buf *= state.momentum
-        buf += g
-        param -= lr * buf
-    return params, state
+    if grad.shape != param.shape:
+        raise DimensionMismatchError(
+            f"gradient shape {grad.shape} does not match parameter shape {param.shape}")
+    g = grad + state.weight_decay * param
+    if state.buffer is None:
+        state.buffer = np.zeros_like(param)
+    state.buffer *= state.momentum
+    state.buffer += g
+    param -= lr * state.buffer
 
 
 def cosine_lr(step: int, total_iters: int, lr0: float = 0.1, lr_min: float = 1e-4) -> float:
@@ -396,14 +382,15 @@ def split_rows(config: TrainConfig, labels):
 def snapshot_rows(seed: int, spec: BatchSpec, labels) -> np.ndarray:
     """Rows of the one PK batch that ``train`` snapshots and ``export-sim`` writes."""
     # not through training.sample_pk, which the benchmark's step clock hooks per step
-    return batching.sample_pk(labels, spec, np.random.default_rng(np.random.SeedSequence([seed, 7])))
+    return batching.sample_pk(pk_index(labels, spec),
+                              np.random.default_rng(np.random.SeedSequence([seed, 7])))
 
 
 def evaluate(model: ModelParams, dataset, gallery_rows, probe_rows,
              config: TrainConfig) -> tuple[float, GeometryReport]:
     """Held-out rank-1 and the geometry of the gallery + probe embeddings."""
-    gal, _ = model_forward(model, dataset.features[gallery_rows])
-    pro, _ = model_forward(model, dataset.features[probe_rows])
+    gal = model_forward(model, dataset.features[gallery_rows])
+    pro = model_forward(model, dataset.features[probe_rows])
     gal_labels, pro_labels = dataset.labels[gallery_rows], dataset.labels[probe_rows]
     split = GalleryProbeSplit(gal, gal_labels, pro, pro_labels, metric=config.eval_metric)
     geo = build_geometry_report(np.vstack([gal, pro]), np.concatenate([gal_labels, pro_labels]),
@@ -427,7 +414,7 @@ def run_training(config: TrainConfig, snapshot_iters=()):
         init_rng, dataset.dim, config.embed_dim, config.dataset.n_classes,
         config.hidden_dim, config.init_scale)
     names = list(model.param_dict())
-    params = {"params": model.flatten()}
+    params = model.flatten()
     state = OptimState(momentum=config.momentum, weight_decay=config.weight_decay)
     pk = pk_index(dataset.labels[train_rows], config.batch)
     snap_set = set(int(s) for s in snapshot_iters)
@@ -438,27 +425,29 @@ def run_training(config: TrainConfig, snapshot_iters=()):
     eval_rows = []
 
     def record_eval(iteration: int):
-        r1, geo = evaluate(model, dataset, gallery_rows, probe_rows, config)
+        try:
+            r1, geo = evaluate(model, dataset, gallery_rows, probe_rows, config)
+        except NonFiniteError as exc:
+            raise DivergenceError(f"non-finite embeddings at iteration {iteration}: {exc}") from exc
         eval_rows.append((iteration, r1, geo.uniformity, geo.kappa_hat, geo.inter_intra_ratio))
 
     def maybe_snapshot(iteration: int):
         if iteration in snap_set:
-            emb = model_forward(model, dataset.features[snap_rows])[0]
+            emb = model_forward(model, dataset.features[snap_rows])
             snapshots[iteration] = EmbeddingBatch(emb, dataset.labels[snap_rows], config.batch)
 
     record_eval(0)
     maybe_snapshot(0)
     for step in range(config.total_iters):
         lr = cosine_lr(step, config.total_iters, config.lr0, config.lr_min)
-        pick = sample_pk(pk, config.batch, batch_rng)
+        pick = sample_pk(pk, batch_rng)
         rows = train_rows[pick]
         try:
             result, grads = _loss_and_grads(
                 model, dataset.features[rows], dataset.labels[rows], config.loss, config.variant)
         except NonFiniteError as exc:
             raise DivergenceError(f"non-finite loss at iteration {step}: {exc}") from exc
-        sgd_update(params, {"params": np.concatenate([grads[n] for n in names], axis=None)},
-                   state, lr)
+        sgd_update(params, np.concatenate([grads[n] for n in names], axis=None), state, lr)
         losses.append(result.value)
         lrs.append(lr)
         n_non.append(result.n_non)

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from metriclab import (
+    ClassifierHead,
     HessianReport,
     LossConfig,
     RobustnessProbe,
     batch_gradcheck,
     dynamic_margin,
+    enumerate_triplets,
     finite_diff_grad,
     numeric_hessian_trace,
     robustness_gap,
@@ -356,13 +358,73 @@ class TestDynamicMargin:
             dynamic_margin(a, a, a, -1.0)
 
 
+def _flat_triplet_screen(rng, n_classes, samples_per_class, dim, cfg):
+    """sample_gradcheck_batch as it was before it read BatchGeometry: distances,
+    cosines and (1 - s) / 2 weights recomputed over the flat triplet arrays."""
+    labels = np.repeat(np.arange(n_classes), samples_per_class)
+    tri = enumerate_triplets(labels)
+    a, p, n = tri.anchors, tri.positives, tri.negatives
+    size = labels.size
+    off_diag = ~np.eye(size, dtype=bool)
+    while True:
+        X = rng.standard_normal((size, dim))
+        diff = X[:, None, :] - X[None, :, :]
+        D = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        if D[off_diag].min() < 1e-3:
+            continue
+        unit = X / np.linalg.norm(X, axis=1)[:, None]
+        S = np.clip(unit @ unit.T, -1.0, 1.0)
+        plain = cfg.margin + D[a, p] - D[a, n]
+        w = (1.0 - S) / 2.0
+        weighted = cfg.margin + w[a, p] * D[a, p] - w[a, n] * D[a, n]
+        if min(np.abs(plain).min(), np.abs(weighted).min()) >= 1e-4:
+            return X
+
+
 class TestGradcheckHarness:
     def test_sampled_batches_respect_shape_and_margins(self):
+        """A PK batch whose hinge arguments all keep 1e-4 clear of the kink."""
         rng = np.random.default_rng(141)
         cfg = LossConfig()
-        batch = sample_gradcheck_batch(rng, 3, 2, 4, cfg, min_gap=1e-3)
+        batch = sample_gradcheck_batch(rng, 3, 2, 4, cfg)
         assert batch.data.shape == (6, 4)
         np.testing.assert_array_equal(batch.labels, np.repeat(np.arange(3), 2))
+        tri = enumerate_triplets(batch.labels)
+        a, p, n = tri.anchors, tri.positives, tri.negatives
+        D = np.linalg.norm(batch.data[:, None, :] - batch.data[None, :, :], axis=2)
+        assert np.all(np.abs(cfg.margin + D[a, p] - D[a, n]) >= 1e-4)
+
+    @pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(margin=0.6)], ids=["default", "margin0.6"])
+    def test_screen_matches_the_flat_triplet_screen(self, cfg):
+        """Screening on BatchGeometry accepts the batches the flat-triplet
+        screen accepted and leaves the generator where it left it, over every
+        (2|4) x (2|4) layout and dims 3, 5, 8 and 16."""
+        for n in (2, 4):
+            for k in (2, 4):
+                for dim in (3, 5, 8, 16):
+                    seed = [n, k, dim, int(cfg.margin * 10)]
+                    old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    for _ in range(10):
+                        old = _flat_triplet_screen(old_rng, n, k, dim, cfg)
+                        new = sample_gradcheck_batch(new_rng, n, k, dim, cfg)
+                        assert new.data.tobytes() == old.tobytes(), (n, k, dim)
+                    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_screen_matches_the_flat_triplet_screen_on_the_acceptance_stream(self):
+        """The 700 batches of acceptance criterion 1, with its head draws in between."""
+        cfg = LossConfig()
+
+        def replay(sample):
+            rng = np.random.default_rng(101)
+            drawn = []
+            for _ in range(700):
+                n, k, dim = int(rng.choice((2, 4))), int(rng.choice((2, 4))), int(rng.choice((3, 8, 16)))
+                drawn.append(sample(rng, n, k, dim, cfg).tobytes())
+                ClassifierHead.init(rng, n, dim)
+            return drawn, rng.bit_generator.state
+
+        old = replay(_flat_triplet_screen)
+        assert replay(lambda *args: sample_gradcheck_batch(*args).data) == old
 
     def test_detects_a_corrupted_gradient(self):
         """The checker must flag a gradient that is wrong by one percent.

@@ -51,7 +51,6 @@ class TestBatchSpec:
     def test_sizes(self):
         spec = BatchSpec(8, 8)
         assert spec.batch_size == 64
-        assert spec.n_triplets == 64 * 7 * 56
 
     def test_rejects_single_class(self):
         with pytest.raises(InvalidConfigError):
@@ -148,7 +147,7 @@ class TestSamplePk:
     def test_shape_contract(self):
         """Spec (8,8) on a 10x20 pool returns 64 rows, 8 classes, 8 each."""
         labels = _pk_labels(10, 20)
-        idx = sample_pk(labels, BatchSpec(8, 8), np.random.default_rng(5))
+        idx = sample_pk(pk_index(labels, BatchSpec(8, 8)), np.random.default_rng(5))
         assert len(idx) == 64
         picked = labels[idx]
         classes, counts = np.unique(picked, return_counts=True)
@@ -157,44 +156,46 @@ class TestSamplePk:
 
     def test_exhaustive_case(self):
         """Spec (2,2) on a 2x2 pool must select every sample exactly once."""
-        idx = sample_pk(_pk_labels(2, 2), BatchSpec(2, 2), np.random.default_rng(6))
+        idx = sample_pk(pk_index(_pk_labels(2, 2), BatchSpec(2, 2)), np.random.default_rng(6))
         assert sorted(idx.tolist()) == [0, 1, 2, 3]
 
     def test_no_repeated_rows(self):
         labels = _pk_labels(6, 9)
-        idx = sample_pk(labels, BatchSpec(4, 5), np.random.default_rng(7))
+        idx = sample_pk(pk_index(labels, BatchSpec(4, 5)), np.random.default_rng(7))
         assert len(set(idx.tolist())) == len(idx)
 
     def test_determinism(self):
         labels = _pk_labels(10, 20)
-        a = sample_pk(labels, BatchSpec(8, 8), np.random.default_rng(8))
-        b = sample_pk(labels, BatchSpec(8, 8), np.random.default_rng(8))
+        index = pk_index(labels, BatchSpec(8, 8))
+        a = sample_pk(index, np.random.default_rng(8))
+        b = sample_pk(index, np.random.default_rng(8))
         np.testing.assert_array_equal(a, b)
 
     def test_class_blocks_are_contiguous(self):
         """Rows arrive grouped by class so PK layout checks hold downstream."""
         labels = _pk_labels(10, 20)
-        picked = labels[sample_pk(labels, BatchSpec(5, 4), np.random.default_rng(9))]
+        picked = labels[sample_pk(pk_index(labels, BatchSpec(5, 4)), np.random.default_rng(9))]
         blocks = picked.reshape(5, 4)
         for row in blocks:
             assert len(set(row.tolist())) == 1
 
     def test_too_few_classes(self):
         with pytest.raises(CapacityError, match="classes"):
-            sample_pk(np.array([0, 0, 1, 1]), BatchSpec(3, 2), np.random.default_rng(0))
+            pk_index(np.array([0, 0, 1, 1]), BatchSpec(3, 2))
 
     def test_too_few_samples_in_class(self):
         with pytest.raises(CapacityError):
-            sample_pk(np.array([0, 0, 0, 1]), BatchSpec(2, 2), np.random.default_rng(0))
+            pk_index(np.array([0, 0, 0, 1]), BatchSpec(2, 2))
 
     def test_class_selection_near_uniform(self):
         """Over many draws every class is picked at close to the uniform rate."""
         labels = _pk_labels(10, 4)
         rng = np.random.default_rng(10)
+        index = pk_index(labels, BatchSpec(4, 2))
         counts = np.zeros(10)
         draws = 10000
         for _ in range(draws):
-            idx = sample_pk(labels, BatchSpec(4, 2), rng)
+            idx = sample_pk(index, rng)
             counts[np.unique(labels[idx])] += 1
         expected = draws * 4 / 10
         assert np.all(np.abs(counts - expected) <= 0.05 * expected)
@@ -252,21 +253,19 @@ class TestPKIndex:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_label_pools())
     def test_same_rows_stream_and_errors_as_the_label_scan(self, pool):
-        """Labels or a prebuilt index: 20 draws give the rows the label-scan
-        sampler gave, leave the generator where it left it, and refuse
-        an impossible layout with the same CapacityError message."""
+        """Over a prebuilt index, 20 draws give the rows the label-scan
+        sampler gave and leave the generator where it left it; building the
+        index refuses an impossible layout with the same CapacityError message."""
         labels, spec, seed = pool
         want = _capacity_message(lambda: _label_scan_sample_pk(labels, spec, np.random.default_rng(0)))
         assert _capacity_message(lambda: pk_index(labels, spec)) == want
-        assert _capacity_message(lambda: sample_pk(labels, spec, np.random.default_rng(0))) == want
         if want is not None:
             return
         index = pk_index(labels, spec)
-        old_rng, label_rng, index_rng = (np.random.default_rng(seed) for _ in range(3))
+        old_rng, index_rng = (np.random.default_rng(seed) for _ in range(2))
         for _ in range(20):
             old = _label_scan_sample_pk(labels, spec, old_rng)
-            np.testing.assert_array_equal(sample_pk(labels, spec, label_rng), old)
-            rows = sample_pk(index, spec, index_rng)
+            rows = sample_pk(index, index_rng)
             np.testing.assert_array_equal(rows, old)
             assert rows.dtype == old.dtype
             # the layout guarantee the training step relies on instead of re-checking it
@@ -274,7 +273,6 @@ class TestPKIndex:
             assert np.all(blocks == blocks[:, :1])
             assert np.unique(blocks[:, 0]).size == spec.n_classes
             assert np.unique(rows).size == rows.size
-        assert old_rng.bit_generator.state == label_rng.bit_generator.state
         assert old_rng.bit_generator.state == index_rng.bit_generator.state
 
     def test_index_lists_eligible_classes_in_ascending_order(self):
@@ -287,8 +285,3 @@ class TestPKIndex:
         index = pk_index(_pk_labels(3, 4), BatchSpec(2, 2))
         with pytest.raises(ValueError):
             index.class_rows[0][0] = 5
-
-    def test_index_built_for_another_spec_rejected(self):
-        index = pk_index(_pk_labels(4, 4), BatchSpec(2, 2))
-        with pytest.raises(InvalidConfigError, match="index was built for"):
-            sample_pk(index, BatchSpec(2, 3), np.random.default_rng(0))

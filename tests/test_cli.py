@@ -236,6 +236,29 @@ class TestUsageAndConfigErrors:
         assert run(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "unknown config key 'optimizer'" in capsys.readouterr().err
 
+    def test_probe_section_is_an_unknown_key(self, tmp_path, capsys):
+        """No command reads a probe section, so a config that sets one is refused."""
+        bad = tmp_path / "bad.json"
+        payload = dict(TINY_CONFIG, probe={"epsilon": 0.01, "n_samples": 1000, "seed": 0})
+        bad.write_text(json.dumps(payload), encoding="ascii")
+        assert run(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config key 'probe'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("gen-data", {k: v for k, v in TINY_CONFIG.items() if k != "dataset"},
+         "config has no 'dataset' section"),
+        ("train", dict(TINY_CONFIG, train=dict(TINY_CONFIG["train"], total_iters=-1)),
+         "total_iters must be >= 0, got -1"),
+    ], ids=["gen-data-without-dataset", "train-with-negative-iters"])
+    def test_refused_config_creates_no_out_directory(self, command, payload, message,
+                                                     tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="ascii")
+        out = tmp_path / "out"
+        assert run([command, "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_inside_a_section(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         payload = dict(TINY_CONFIG, batch={"n_classes": 2, "side": "left"})
@@ -261,6 +284,7 @@ class TestUsageAndConfigErrors:
         (["hessian-check", "--trials", "-3"], "--trials", 0),
         (["margin-check", "--trials", "-1"], "--trials", 0),
         (["robustness-check", "--points", "-2"], "--points", 0),
+        (["robustness-check", "--samples", "0"], "--samples", 1),
     ])
     def test_probe_counts_below_their_minimum_are_usage_errors(self, argv, flag, minimum, capsys):
         """A count that checks nothing (gradcheck) or runs fewer probes than
@@ -277,6 +301,22 @@ class TestUsageAndConfigErrors:
         usage = capsys.readouterr().err.split("error:")[0]
         assert usage.startswith("usage: metriclab gradcheck")
         assert "--trials" in usage
+
+    @pytest.mark.parametrize("argv, message", [
+        (["selftest", "--out", "selftest-out"], "unrecognized arguments: --out selftest-out"),
+        (["gen-data", "--config", "configs/reference.json"],
+         "the following arguments are required: --out"),
+        (["export-sim", "--config", "configs/reference.json"],
+         "the following arguments are required: --out"),
+    ], ids=["selftest-takes-no-out", "gen-data-needs-out", "export-sim-needs-out"])
+    def test_out_flag_is_taken_only_where_it_is_written(self, argv, message, tmp_path,
+                                                        monkeypatch, capsys):
+        """The data commands need --out; selftest writes nothing and refuses it.
+        Both are refused while parsing, before any file is read or written."""
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_prints_the_top_level_usage(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -323,9 +363,9 @@ class TestReferenceConfigFile:
         reordered = {k: payload[k] for k in reversed(list(payload))}
         shuffled = tmp_path / "shuffled.json"
         shuffled.write_text(json.dumps(reordered), encoding="ascii")
-        a = ExperimentConfig.from_file("configs/reference.json").sha256()
-        b = ExperimentConfig.from_file(shuffled).sha256()
-        assert a == b
+        a = ExperimentConfig.from_file("configs/reference.json").raw_payload
+        b = ExperimentConfig.from_file(shuffled).raw_payload
+        assert cli._sha256_of(a) == cli._sha256_of(b)
 
 
 class TestConsoleScript:

@@ -15,13 +15,13 @@ from metriclab import (
     EmbeddingBatch,
     SimMatrix,
     cosine_sim,
-    euclidean_dist,
     read_sim_matrix_csv,
     similarity_matrix,
     write_sim_matrix_csv,
 )
 from metriclab.core import _cosine_values, _unit_rows
-from metriclab.errors import DegenerateVectorError, DimensionMismatchError
+from metriclab.errors import DegenerateVectorError
+from metriclab.losses import BatchGeometry
 
 
 def _random_pk_batch(rng, n_classes, samples_per_class, dim):
@@ -30,30 +30,34 @@ def _random_pk_batch(rng, n_classes, samples_per_class, dim):
     return EmbeddingBatch(data, labels, BatchSpec(n_classes, samples_per_class))
 
 
+def _dist(*rows):
+    """The pairwise Euclidean distances every hinge loss reads, of the given rows."""
+    data = np.array(rows, dtype=np.float64)
+    return BatchGeometry(EmbeddingBatch(data, np.arange(len(rows)) % 2)).dist
+
+
 class TestEuclideanDist:
+    """The one Euclidean distance kernel: ``BatchGeometry.dist``."""
+
     def test_identical_points(self):
-        """Distance of a point to itself is exactly zero."""
-        assert euclidean_dist(np.zeros(2), np.zeros(2)) == 0.0
+        """Distance of a point to itself, or to an equal row, is exactly zero."""
+        D = _dist([0.5, -2.0], [0.5, -2.0])
+        assert D[0, 1] == 0.0 and np.all(np.diag(D) == 0.0)
 
     def test_pythagorean_triple(self):
-        """(0,0) to (3,4) is the classic 3-4-5 hypotenuse."""
-        assert euclidean_dist(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+        """(0,0) to (3,4) is the classic 3-4-5 hypotenuse, both ways round."""
+        D = _dist([0.0, 0.0], [3.0, 4.0])
+        assert D[0, 1] == 5.0 and D[1, 0] == 5.0
 
     def test_unit_diagonal(self):
         """(1,1) to (2,2) is the square-root of two."""
-        d = euclidean_dist(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-        np.testing.assert_allclose(d, math.sqrt(2.0), atol=1e-8)
+        np.testing.assert_allclose(_dist([1.0, 1.0], [2.0, 2.0])[0, 1], math.sqrt(2.0), atol=1e-8)
 
     def test_triangle_inequality(self):
-        """d(x,z) <= d(x,y) + d(y,z) on random triples."""
+        """d(x,z) <= d(x,y) + d(y,z) over every triple of 12 random rows."""
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            x, y, z = rng.standard_normal((3, 5))
-            assert euclidean_dist(x, z) <= euclidean_dist(x, y) + euclidean_dist(y, z) + 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            euclidean_dist(np.zeros(2), np.zeros(3))
+        D = _dist(*rng.standard_normal((12, 5)))
+        assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + 1e-9)
 
 
 class TestCosineSim:

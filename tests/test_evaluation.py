@@ -5,7 +5,6 @@ Vectorized paths are compared against brute-force double loops written in
 this file; closed-form values come from single-pair hand arithmetic.
 """
 
-import json
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from metriclab import (
     uniformity,
     variance_ratio,
 )
-from metriclab.errors import DegenerateVectorError
+from metriclab.errors import DegenerateVectorError, NonFiniteError
 
 
 def _brute_force_rank1(split):
@@ -231,16 +230,18 @@ class TestGeometryReport:
         assert report.inter_class_dist == stats.inter_class_dist
         assert report.kappa_hat >= 0.0
 
-    def test_json_round_trip(self, tmp_path):
-        rng = np.random.default_rng(232)
-        emb = rng.standard_normal((20, 4))
-        labels = np.repeat(np.arange(2), 10)
-        report = build_geometry_report(emb, labels)
-        path = tmp_path / "geometry.json"
-        report.write_json(path)
-        payload = json.loads(path.read_text())
-        np.testing.assert_allclose(payload["uniformity"], report.uniformity)
-        np.testing.assert_allclose(payload["inter_intra_ratio"], report.inter_intra_ratio)
+    def test_overflowing_row_norm_is_named(self):
+        """A row with no finite norm has no direction to report on: the error
+        names the first such row and whether its squares overflowed."""
+        emb = np.random.default_rng(233).standard_normal((8, 3))
+        emb[5] *= 1e200
+        labels = np.repeat(np.arange(2), 4)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="embedding row 5 has norm inf: float64 overflow"):
+                build_geometry_report(emb, labels)
+        emb[5] = [1.0, np.nan, 0.0]
+        with pytest.raises(NonFiniteError, match=r"embedding row 5 has norm nan \(inf or nan entries\)"):
+            build_geometry_report(emb, labels)
 
 
 class TestSnapshotSimMatrix:

@@ -23,6 +23,7 @@ from metriclab import (
     holdout_split,
     load_model,
     model_forward,
+    pk_index,
     reference_train_config,
     run_training,
     sample_pk,
@@ -49,9 +50,10 @@ from metriclab.training import (
 
 def _label_scan_loop(config):
     """run_training's step loop as it was built before the per-run PK index
-    and the flat parameter vector: a label scan per draw, a spec-checked
-    batch, and one sgd_update entry per parameter array.  Evaluation draws
-    no random numbers, so it is left out.  Returns (digest, losses, n_non)."""
+    and the flat parameter vector: an index built from the labels at every
+    draw, a spec-checked batch, and one sgd_update per parameter array, each
+    with its own momentum buffer.  Evaluation draws no random numbers, so it
+    is left out.  Returns (digest, losses, n_non)."""
     dataset = gen_dataset(config.dataset)
     init_rng, batch_rng, _ = (np.random.default_rng(s)
                               for s in np.random.SeedSequence(config.seed).spawn(3))
@@ -59,11 +61,12 @@ def _label_scan_loop(config):
     model = ModelParams.init(init_rng, dataset.dim, config.embed_dim, config.dataset.n_classes,
                              config.hidden_dim, config.init_scale)
     params = model.param_dict()
-    state = OptimState(momentum=config.momentum, weight_decay=config.weight_decay)
+    states = {name: OptimState(momentum=config.momentum, weight_decay=config.weight_decay)
+              for name in params}
     losses_, n_non = [], []
     for step in range(config.total_iters):
         lr = cosine_lr(step, config.total_iters, config.lr0, config.lr_min)
-        rows = train_rows[sample_pk(dataset.labels[train_rows], config.batch, batch_rng)]
+        rows = train_rows[sample_pk(pk_index(dataset.labels[train_rows], config.batch), batch_rng)]
         embeddings, cache = _forward_cached(model, dataset.features[rows])
         batch = EmbeddingBatch(embeddings, dataset.labels[rows], config.batch)
         result = losses.LOSSES[_VARIANT_LOSSES[config.variant]](batch, config.loss, model.head)
@@ -72,7 +75,8 @@ def _label_scan_loop(config):
                                 else np.zeros_like(model.head.weight))
         grads["head_bias"] = (result.head_grad_bias if result.head_grad_bias is not None
                               else np.zeros_like(model.head.bias))
-        sgd_update(params, grads, state, lr)
+        for name, param in params.items():
+            sgd_update(param, grads[name], states[name], lr)
         losses_.append(result.value)
         n_non.append(result.n_non)
     return model.digest(), np.asarray(losses_), np.asarray(n_non, dtype=np.int64)
@@ -115,39 +119,35 @@ class TestCosineLr:
 class TestSgdUpdate:
     def test_two_step_hand_trace(self):
         """Frozen arithmetic: g = grad + wd*p, buf = mom*buf + g, p -= lr*buf."""
-        params = {"w": np.array([1.0, 2.0])}
-        grads = {"w": np.array([0.5, -1.0])}
+        w = np.array([1.0, 2.0])
+        grad = np.array([0.5, -1.0])
         state = OptimState(momentum=0.5, weight_decay=0.1)
-        sgd_update(params, grads, state, lr=0.1)
-        np.testing.assert_allclose(params["w"], [0.94, 2.08], atol=1e-15)
-        sgd_update(params, grads, state, lr=0.1)
-        np.testing.assert_allclose(params["w"], [0.8506, 2.1992], atol=1e-15)
+        sgd_update(w, grad, state, lr=0.1)
+        np.testing.assert_allclose(w, [0.94, 2.08], atol=1e-15)
+        sgd_update(w, grad, state, lr=0.1)
+        np.testing.assert_allclose(w, [0.8506, 2.1992], atol=1e-15)
+        np.testing.assert_allclose(state.buffer, [0.894, -1.192], atol=1e-15)
 
     def test_no_momentum_no_decay_is_plain_gradient_descent(self):
         rng = np.random.default_rng(31)
         w = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 4))
-        params = {"w": w.copy()}
-        sgd_update(params, {"w": g}, OptimState(momentum=0.0, weight_decay=0.0), lr=0.05)
-        np.testing.assert_array_equal(params["w"], w - 0.05 * g)
+        moved = w.copy()
+        sgd_update(moved, g, OptimState(momentum=0.0, weight_decay=0.0), lr=0.05)
+        np.testing.assert_array_equal(moved, w - 0.05 * g)
 
     def test_updates_happen_in_place(self):
         w = np.array([1.0])
-        params = {"w": w}
-        sgd_update(params, {"w": np.array([1.0])}, OptimState(0.0, 0.0), lr=1.0)
+        sgd_update(w, np.array([1.0]), OptimState(0.0, 0.0), lr=1.0)
         assert w[0] == 0.0  # the caller's array moved
-
-    def test_missing_gradient_rejected(self):
-        with pytest.raises(DimensionMismatchError, match="w"):
-            sgd_update({"w": np.ones(2)}, {}, OptimState(), lr=0.1)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            sgd_update({"w": np.ones(2)}, {"w": np.ones(3)}, OptimState(), lr=0.1)
+            sgd_update(np.ones(2), np.ones(3), OptimState(), lr=0.1)
 
     def test_negative_lr_rejected(self):
         with pytest.raises(InvalidConfigError):
-            sgd_update({"w": np.ones(2)}, {"w": np.ones(2)}, OptimState(), lr=-0.1)
+            sgd_update(np.ones(2), np.ones(2), OptimState(), lr=-0.1)
 
     def test_optim_state_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -163,7 +163,7 @@ class TestModelParams:
         assert model.hidden_weight.shape == (5, 6)
         assert model.embed_weight.shape == (4, 5)
         assert model.head.weight.shape == (3, 4)
-        assert model.input_dim == 6 and model.embed_dim == 4
+        assert model.input_dim == 6
 
     def test_param_dict_exposes_live_views(self):
         rng = np.random.default_rng(42)
@@ -229,9 +229,7 @@ class TestModelForward:
         head = ClassifierHead(np.zeros((3, 2)), np.zeros(3))
         model = ModelParams(np.eye(2), np.zeros(2), head)
         features = np.array([[1.0, 2.0], [3.0, 4.0]])
-        embeddings, logits = model_forward(model, features)
-        np.testing.assert_array_equal(embeddings, features)
-        np.testing.assert_array_equal(logits, np.zeros((2, 3)))
+        np.testing.assert_array_equal(model_forward(model, features), features)
 
     def test_wrong_feature_width_rejected(self):
         head = ClassifierHead(np.zeros((3, 2)), np.zeros(3))
@@ -394,7 +392,7 @@ class TestRunTraining:
         _, model, dataset, _, snaps = run_training(config, snapshot_iters=(0, 4))
         assert sorted(snaps) == [0, 4]
         rows = snapshot_rows(config.seed, config.batch, dataset.labels)
-        final, _ = model_forward(model, dataset.features[rows])
+        final = model_forward(model, dataset.features[rows])
         np.testing.assert_array_equal(snaps[4].data, final)
         np.testing.assert_array_equal(snaps[4].labels, dataset.labels[rows])
         assert snaps[4].batch_spec == config.batch
@@ -419,6 +417,16 @@ class TestRunTraining:
             with pytest.raises(DivergenceError, match="iteration 0: loss value is non-finite"):
                 run_training(config)
 
+    def test_overflowing_embeddings_at_the_first_evaluation_raise_divergence_error(self):
+        """A 1e155 init scale gives finite embeddings whose squared norms
+        overflow; the iteration-0 evaluation names the row and the overflow
+        instead of failing a unit-norm check further down."""
+        config = _small_config(variant="combined_simce", init_scale=1e155)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"iteration 0: embedding row \d+ has norm "
+                                                      r"inf: float64 overflow"):
+                run_training(config)
+
     def test_other_loss_errors_keep_their_type(self, monkeypatch):
         """Only non-finite values become DivergenceError: a zero-norm
         embedding row reaches the caller as itself, message intact."""
@@ -436,9 +444,9 @@ class TestRunTraining:
     ], ids=["small", "reference"])
     def test_step_matches_the_per_step_label_scan_loop_bit_for_bit(self, variant, make_config):
         """The per-run PK index, the spec-free step batch and the flat
-        parameter vector change no bit: a loop built the old way (label scan
-        per draw, spec-checked batch, one sgd_update entry per array) gives
-        the same digest, losses and n_non."""
+        parameter vector change no bit: a loop built the old way (index per
+        draw, spec-checked batch, one sgd_update per array) gives the same
+        digest, losses and n_non."""
         config = make_config(variant)
         report = run_training(config)[0]
         digest, losses_, n_non = _label_scan_loop(config)
