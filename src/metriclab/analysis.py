@@ -3,6 +3,9 @@
 Finite differences, Hessian-trace probes, a Monte-Carlo robustness gap, and
 the dynamic-margin identities.  Nothing here reuses a loss gradient: the
 whole point is to check those gradients from the value function alone.
+
+Every oracle takes its function in one row-wise form: fn maps a stack of
+points (k, *point.shape) to k values, so a single point gives a scalar.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ class RobustnessProbe:
     def __post_init__(self):
         if not np.isfinite(self.epsilon) or self.epsilon <= 0.0:
             raise InvalidConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.n_samples < 1:
-            raise InvalidConfigError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.n_samples < 2 or self.n_samples % 2:
+            raise InvalidConfigError(
+                f"n_samples must be an even count >= 2 (draws come in antithetic pairs), "
+                f"got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -59,40 +64,37 @@ class HessianReport:
 
 
 def finite_diff_grad(fn, point, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient (f(x + h e_i) - f(x - h e_i)) / 2h."""
+    """Central-difference gradient (f(x + h e_i) - f(x - h e_i)) / 2h; fn is row-wise."""
     if h <= 0.0:
         raise InvalidConfigError(f"step must be > 0, got {h}")
     point = np.asarray(point, dtype=np.float64)
-    grad = np.empty_like(point)
-    for i in range(point.size):
-        step = np.zeros_like(point)
-        step.flat[i] = h
-        fp = float(fn(point + step))
-        fm = float(fn(point - step))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise EvaluationError(f"non-finite function value while perturbing coordinate {i}")
-        grad.flat[i] = (fp - fm) / (2.0 * h)
-    return grad
+    fp, fm = _coordinate_steps(fn, point, h)
+    return ((fp - fm) / (2.0 * h)).reshape(point.shape)
 
 
 def numeric_hessian_trace(fn, point, h: float = 1e-4) -> float:
-    """Sum of second central differences (f(x+h e_i) - 2 f(x) + f(x-h e_i)) / h^2."""
+    """Sum of second central differences (f(x+h e_i) - 2 f(x) + f(x-h e_i)) / h^2; fn is row-wise."""
     if h <= 0.0:
         raise InvalidConfigError(f"step must be > 0, got {h}")
     point = np.asarray(point, dtype=np.float64)
-    f0 = float(fn(point))
+    f0 = float(_values(fn, point, ()))
     if not np.isfinite(f0):
         raise EvaluationError("non-finite function value at the base point")
-    trace = 0.0
-    for i in range(point.size):
-        step = np.zeros_like(point)
-        step.flat[i] = h
-        fp = float(fn(point + step))
-        fm = float(fn(point - step))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise EvaluationError(f"non-finite function value while perturbing coordinate {i}")
-        trace += (fp - 2.0 * f0 + fm) / (h * h)
-    return trace
+    fp, fm = _coordinate_steps(fn, point, h)
+    # a running sum in coordinate order, so a stack-consistent fn gives its single-point trace
+    return sum(((fp - 2.0 * f0 + fm) / (h * h)).tolist())
+
+
+def _coordinate_steps(fn, point: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """fn at point + h e_i and at point - h e_i for every coordinate i: one fn call per side."""
+    n = point.size
+    steps = (h * np.eye(n)).reshape((n,) + point.shape)
+    fp = _values(fn, point + steps, (n,))
+    fm = _values(fn, point - steps, (n,))
+    bad = np.flatnonzero(~(np.isfinite(fp) & np.isfinite(fm)))
+    if bad.size:
+        raise EvaluationError(f"non-finite function value while perturbing coordinate {bad[0]}")
+    return fp, fm
 
 
 def triplet_trace_closed(v) -> float:
@@ -127,7 +129,7 @@ def simce_trace_closed(a, p, n, temperature: float = 1.0) -> HessianReport:
     closed = sig * (1.0 - sig) * float(a @ a) / temperature**2
 
     def value(v):
-        return float(np.logaddexp(0.0, (a @ (a - v) - a @ p) / temperature))
+        return np.logaddexp(0.0, ((a - v) @ a - a @ p) / temperature)
 
     numeric = numeric_hessian_trace(value, a - n, h=1e-4)
     return HessianReport(
@@ -138,7 +140,7 @@ def simce_trace_closed(a, p, n, temperature: float = 1.0) -> HessianReport:
     )
 
 
-def robustness_gap(scalar_fn, v, probe: RobustnessProbe) -> tuple[float, float]:
+def robustness_gap(fn, v, probe: RobustnessProbe) -> tuple[float, float]:
     """Monte-Carlo estimate of E[f(v + delta)] - f(v) next to its prediction.
 
     delta is uniform on [-epsilon, epsilon] per coordinate.  Draws come in
@@ -148,11 +150,9 @@ def robustness_gap(scalar_fn, v, probe: RobustnessProbe) -> tuple[float, float]:
     in first-order noise at any affordable sample count.  The prediction's
     trace is the numeric probe, so this stays a pure oracle.
 
-    scalar_fn is row-wise: it maps an array of points (..., d) to values
-    (...), so a single point gives a scalar (which is how
-    numeric_hessian_trace calls it) and a (k, d) block gives k values; any
-    other result shape raises EvaluationError.  The draws are made in blocks
-    of _MC_BLOCK_PAIRS rows, one (k, d) uniform draw and two scalar_fn calls
+    fn is row-wise, like every oracle's here: a (k, d) block gives k values
+    and any other result shape raises EvaluationError.  The draws are made in
+    blocks of _MC_BLOCK_PAIRS rows, one (k, d) uniform draw and two fn calls
     per block.  A (k, d) draw yields the rows of k sequential size-d draws,
     so the seed stream is the one a per-pair loop would consume.  The block
     size is fixed, not n_pairs, to keep peak memory flat: one block of all
@@ -160,16 +160,16 @@ def robustness_gap(scalar_fn, v, probe: RobustnessProbe) -> tuple[float, float]:
     """
     v = np.asarray(v, dtype=np.float64)
     rng = np.random.default_rng(probe.seed)
-    f0 = float(_values(scalar_fn, v, ()))
+    f0 = float(_values(fn, v, ()))
     if not np.isfinite(f0):
         raise EvaluationError("non-finite function value at the base point")
-    n_pairs = max(probe.n_samples // 2, 1)
+    n_pairs = probe.n_samples // 2
     acc = 0.0
     for start in range(0, n_pairs, _MC_BLOCK_PAIRS):
         k = min(_MC_BLOCK_PAIRS, n_pairs - start)
         delta = rng.uniform(-probe.epsilon, probe.epsilon, size=(k,) + v.shape)
-        fp = _values(scalar_fn, v + delta, (k,))
-        fm = _values(scalar_fn, v - delta, (k,))
+        fp = _values(fn, v + delta, (k,))
+        fm = _values(fn, v - delta, (k,))
         bad = np.flatnonzero(~(np.isfinite(fp) & np.isfinite(fm)))
         if bad.size:
             i = int(bad[0])
@@ -178,16 +178,16 @@ def robustness_gap(scalar_fn, v, probe: RobustnessProbe) -> tuple[float, float]:
                 f"non-finite function value at antithetic pair {start + i} ({side} side)")
         acc += float(np.sum(0.5 * (fp + fm) - f0))
     mc_estimate = acc / n_pairs
-    predicted = probe.epsilon**2 / 6.0 * numeric_hessian_trace(scalar_fn, v, h=1e-4)
+    predicted = probe.epsilon**2 / 6.0 * numeric_hessian_trace(fn, v, h=1e-4)
     return mc_estimate, predicted
 
 
-def _values(scalar_fn, points: np.ndarray, shape: tuple) -> np.ndarray:
-    """scalar_fn at points, checked to give one value per point (shape ``shape``)."""
-    values = np.asarray(scalar_fn(points), dtype=np.float64)
+def _values(fn, points: np.ndarray, shape: tuple) -> np.ndarray:
+    """fn at points, checked to give one value per point (shape ``shape``)."""
+    values = np.asarray(fn(points), dtype=np.float64)
     if values.shape != shape:
         raise EvaluationError(
-            f"scalar_fn must return one value per point: expected shape {shape}, "
+            f"fn must return one value per point: expected shape {shape}, "
             f"got {values.shape}")
     return values
 
@@ -245,14 +245,15 @@ def batch_gradcheck(loss_fn, batch: EmbeddingBatch, h: float = 1e-5) -> float:
     loss_fn takes a batch and returns something with .value and .grad.  The
     error is max |analytic - numeric| over all batch coordinates, divided by
     the larger of the two gradients' max magnitudes (or 0 when both vanish).
+    The losses take one batch at a time, so each perturbed row is one call.
     """
     base = loss_fn(batch)
     shape = batch.data.shape
 
-    def value_at(flat):
+    def value_at(stack):
         # the base batch's layout is already checked; only finiteness can change
-        rebuilt = EmbeddingBatch(flat.reshape(shape), batch.labels)
-        return loss_fn(rebuilt).value
+        return np.array([loss_fn(EmbeddingBatch(flat.reshape(shape), batch.labels)).value
+                         for flat in stack])
 
     numeric = finite_diff_grad(value_at, batch.data.ravel(), h)
     analytic = np.asarray(base.grad, dtype=np.float64).ravel()

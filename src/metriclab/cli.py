@@ -104,8 +104,8 @@ class ExperimentConfig:
             if isinstance(payload.get("dataset"), dict):
                 payload["dataset"] = dict(payload["dataset"], seed=dataset_seed(payload["seed"]))
         seed = payload.get("seed", 0)
-        if not isinstance(seed, int):
-            raise InvalidConfigError(f"{path}: seed must be an integer")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise InvalidConfigError(f"{path}: seed must be an integer, got {json.dumps(seed)}")
         dataset = _build_section(DatasetSpec, payload.get("dataset"), "dataset")
         batch = _build_section(BatchSpec, payload.get("batch"), "batch")
         loss = _build_section(LossConfig, payload.get("loss"), "loss") or LossConfig()
@@ -220,7 +220,7 @@ def _cmd_hessian_check(args) -> int:
             margin = float(np.linalg.norm(a - (a - v))) - d_ap + 0.5
 
             def hinge(n_vec, a=a, d_ap=d_ap, margin=margin):
-                return max(0.0, margin + d_ap - float(np.linalg.norm(a - n_vec)))
+                return np.maximum(0.0, margin + d_ap - np.linalg.norm(a - n_vec, axis=-1))
 
             numeric = numeric_hessian_trace(hinge, a - v, h=1e-4)
             closed = triplet_trace_closed(v)
@@ -394,7 +394,7 @@ def _cmd_selftest(args) -> int:
     v = rng.standard_normal(5)
     v /= np.linalg.norm(v)
     closed = triplet_trace_closed(v)
-    numeric = numeric_hessian_trace(lambda w: -float(np.linalg.norm(w)), v, h=1e-4)
+    numeric = numeric_hessian_trace(lambda w: -np.linalg.norm(w, axis=-1), v, h=1e-4)
     check("triplet trace", abs(abs(numeric) - closed) / closed <= TRACE_TOLERANCE,
           f"numeric {numeric:.6f} vs closed {closed:.6f}")
 

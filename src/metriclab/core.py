@@ -113,7 +113,7 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(X, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DegenerateVectorError(f"row {zero[0]} has zero norm; cosine is undefined")
+        raise DegenerateVectorError(f"row {zero[0]} has zero norm and no direction")
     return X / norms[:, None], norms
 
 

@@ -6,13 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingBatch, similarity_matrix, write_sim_matrix_csv
-from .errors import (
-    DegenerateConcentrationError,
-    DegenerateVectorError,
-    DimensionMismatchError,
-    NonFiniteError,
-)
+from .core import EmbeddingBatch, _unit_rows, similarity_matrix, write_sim_matrix_csv
+from .errors import DegenerateConcentrationError, DimensionMismatchError, NonFiniteError
 from .synth import estimate_kappa
 
 METRICS = ("euclidean", "cosine")
@@ -74,11 +69,7 @@ def rank1(split: GalleryProbeSplit) -> float:
         scores = np.einsum("ijk,ijk->ij", diff, diff)
         nearest = scores.argmin(axis=1)
     else:
-        g_norms = np.linalg.norm(split.gallery, axis=1)
-        p_norms = np.linalg.norm(split.probe, axis=1)
-        if np.any(g_norms == 0.0) or np.any(p_norms == 0.0):
-            raise DegenerateVectorError("cosine retrieval is undefined for zero-norm rows")
-        sims = (split.probe / p_norms[:, None]) @ (split.gallery / g_norms[:, None]).T
+        sims = _unit_rows(split.probe)[0] @ _unit_rows(split.gallery)[0].T
         nearest = sims.argmax(axis=1)
     return float(np.mean(split.gallery_labels[nearest] == split.probe_labels))
 
@@ -96,11 +87,7 @@ def uniformity(embeddings, t: float = 2.0, block_size: int = 1024) -> float:
         raise ValueError(f"need at least two embedding rows, got shape {X.shape}")
     if t <= 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    norms = np.linalg.norm(X, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateVectorError(f"row {zero[0]} has zero norm and no direction")
-    unit = X / norms[:, None]
+    unit = _unit_rows(X)[0]
     n = unit.shape[0]
     total = 0.0
     for start in range(0, n, block_size):
@@ -163,11 +150,8 @@ def build_geometry_report(embeddings, labels, t: float = 2.0) -> GeometryReport:
         cause = ": float64 overflow" if np.isfinite(X[bad[0]]).all() else " (inf or nan entries)"
         raise NonFiniteError(f"embedding row {bad[0]} has norm {norms[bad[0]]}{cause}")
     stats = variance_ratio(X, labels)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateVectorError(f"row {zero[0]} has zero norm and no direction")
     try:
-        kappa = estimate_kappa(X / norms[:, None])
+        kappa = estimate_kappa(_unit_rows(X)[0])
     except DegenerateConcentrationError:
         kappa = float("inf")  # fully collapsed embeddings
     return GeometryReport(

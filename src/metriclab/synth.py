@@ -45,31 +45,37 @@ class VmfParams:
         return self.mu.size
 
 
-def vmf_density(x, params: VmfParams) -> float:
-    """Density C_d(kappa) * exp(kappa * <mu, x>) on the unit sphere.
+def vmf_density(x, params: VmfParams):
+    """Density C_d(kappa) * exp(kappa * <mu, x>) of points (..., d) on the unit sphere.
 
+    Returns one value per point, shape (...); a single point gives a float.
     C_d(kappa) = kappa^{d/2-1} / ((2 pi)^{d/2} I_{d/2-1}(kappa)), evaluated
     through the exponentially scaled Bessel function so large kappa cannot
     overflow.  kappa = 0 collapses to the uniform density, the reciprocal
     sphere area.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape != params.mu.shape:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != params.mu.shape:
         raise DimensionMismatchError(f"x has shape {x.shape}, mu has {params.mu.shape}")
-    if abs(float(np.linalg.norm(x)) - 1.0) > 1e-9:
-        raise ValueError("x must lie on the unit sphere")
+    norms = np.linalg.norm(x, axis=-1)
+    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
+    if off.size:
+        raise ValueError(f"x must lie on the unit sphere: row {off[0]} has norm {norms.flat[off[0]]}")
     d = params.dim
     if params.kappa == 0.0:
-        return float(math.gamma(d / 2.0) / (2.0 * math.pi ** (d / 2.0)))
-    nu = d / 2.0 - 1.0
-    # I_nu(k) = ive(nu, k) * e^k, so log C_d absorbs the e^{-k} factor
-    log_norm = (
-        nu * math.log(params.kappa)
-        - (d / 2.0) * math.log(2.0 * math.pi)
-        - math.log(float(special.ive(nu, params.kappa)))
-        - params.kappa
-    )
-    return float(math.exp(log_norm + params.kappa * float(params.mu @ x)))
+        dens = np.full(norms.shape, math.gamma(d / 2.0) / (2.0 * math.pi ** (d / 2.0)))
+    else:
+        nu = d / 2.0 - 1.0
+        # I_nu(k) = ive(nu, k) * e^k, so log C_d absorbs the e^{-k} factor
+        log_norm = (
+            nu * math.log(params.kappa)
+            - (d / 2.0) * math.log(2.0 * math.pi)
+            - math.log(float(special.ive(nu, params.kappa)))
+            - params.kappa
+        )
+        # an elementwise row sum, so a stack gives each row's single-point value bit for bit
+        dens = np.exp(log_norm + params.kappa * (x * params.mu).sum(-1))
+    return float(dens) if dens.ndim == 0 else dens
 
 
 def _uniform_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:

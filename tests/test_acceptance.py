@@ -135,7 +135,7 @@ def test_03_hinge_curvature_blows_up_as_the_gap_closes():
             v = direction / np.linalg.norm(direction) * scale
 
             def active_hinge(x):
-                return 10.0 - float(np.linalg.norm(x))
+                return 10.0 - np.linalg.norm(x, axis=-1)
 
             numeric = numeric_hessian_trace(active_hinge, v, h=1e-4)
             closed = triplet_trace_closed(v)
@@ -302,7 +302,7 @@ def test_09_directional_distribution_round_trip_and_density_mass():
             ring = np.stack([np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi),
                              np.full(n_phi, np.cos(th))], axis=1)
             ring /= np.linalg.norm(ring, axis=1, keepdims=True)
-            dens = np.array([vmf_density(x, params) for x in ring])
+            dens = vmf_density(ring, params)
             mass += float(dens.sum()) * math.sin(th) * cell
         worst_mass_err = max(worst_mass_err, abs(mass - 1.0))
     ok = worst_rel <= 0.15 and worst_mass_err <= 1e-3

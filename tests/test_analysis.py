@@ -35,11 +35,11 @@ from metriclab.errors import EvaluationError, InvalidConfigError, SingularityErr
 class TestFiniteDiffGrad:
     def test_square_function(self):
         """Central differences are exact (to rounding) on x -> x^2."""
-        grad = finite_diff_grad(lambda x: float(x @ x), np.array([1.0]), h=1e-3)
+        grad = finite_diff_grad(lambda x: (x * x).sum(-1), np.array([1.0]), h=1e-3)
         np.testing.assert_allclose(grad, [2.0], atol=1e-6)
 
     def test_constant_function(self):
-        grad = finite_diff_grad(lambda x: 4.2, np.zeros(5))
+        grad = finite_diff_grad(lambda x: np.full(x.shape[:-1], 4.2), np.zeros(5))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_matches_analytic_contrastive_gradient(self):
@@ -48,7 +48,7 @@ class TestFiniteDiffGrad:
         temperature = 0.7
         for _ in range(20):
             a, p, n = rng.standard_normal((3, 6))
-            fn = lambda x: float(np.logaddexp(0.0, (a @ x - a @ p) / temperature))
+            fn = lambda x: np.logaddexp(0.0, (x @ a - a @ p) / temperature)
             z = (a @ n - a @ p) / temperature
             analytic = a / (temperature * (1.0 + math.exp(-z)))
             numeric = finite_diff_grad(fn, n)
@@ -57,7 +57,7 @@ class TestFiniteDiffGrad:
 
     def test_non_finite_value_names_the_coordinate(self):
         def bad(x):
-            return float("nan") if x[1] > 0.5 else 0.0
+            return np.where(x[..., 1] > 0.5, np.nan, 0.0)
 
         with pytest.raises(EvaluationError, match="coordinate 1"):
             finite_diff_grad(bad, np.array([0.0, 0.5]))
@@ -66,19 +66,96 @@ class TestFiniteDiffGrad:
 class TestNumericHessianTrace:
     def test_squared_norm_gives_twice_dimension(self):
         for d in (2, 5, 9):
-            trace = numeric_hessian_trace(lambda x: float(x @ x), np.ones(d))
+            trace = numeric_hessian_trace(lambda x: (x * x).sum(-1), np.ones(d))
             np.testing.assert_allclose(trace, 2.0 * d, atol=1e-4)
 
     def test_linear_function_gives_zero(self):
         c = np.arange(1.0, 5.0)
-        trace = numeric_hessian_trace(lambda x: float(c @ x), np.ones(4))
+        trace = numeric_hessian_trace(lambda x: x @ c, np.ones(4))
         np.testing.assert_allclose(trace, 0.0, atol=1e-4)
 
     def test_norm_at_radius_two(self):
         """Laplacian of ||v|| is (d-1)/||v||: 1.0 at d=3, ||v||=2."""
         v = np.array([2.0, 0.0, 0.0])
-        trace = numeric_hessian_trace(np.linalg.norm, v)
+        trace = numeric_hessian_trace(lambda x: np.linalg.norm(x, axis=-1), v)
         np.testing.assert_allclose(trace, 1.0, atol=1e-3)
+
+
+def _per_coordinate_grad(fn, point, h=1e-5):
+    """The per-coordinate loop finite_diff_grad used to run, kept as its reference."""
+    point = np.asarray(point, dtype=np.float64)
+    grad = np.empty_like(point)
+    for i in range(point.size):
+        step = np.zeros_like(point)
+        step.flat[i] = h
+        grad.flat[i] = (float(fn(point + step)) - float(fn(point - step))) / (2.0 * h)
+    return grad
+
+
+def _per_coordinate_trace(fn, point, h=1e-4):
+    """The per-coordinate loop numeric_hessian_trace used to run, kept as its reference."""
+    point = np.asarray(point, dtype=np.float64)
+    f0 = float(fn(point))
+    trace = 0.0
+    for i in range(point.size):
+        step = np.zeros_like(point)
+        step.flat[i] = h
+        trace += (float(fn(point + step)) - 2.0 * f0 + float(fn(point - step))) / (h * h)
+    return trace
+
+
+class TestRowWiseContract:
+    """The stacked ±h oracles against the per-coordinate loops they replaced."""
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("kind", ["quadratic", "softplus", "sin"])
+    def test_matches_the_per_coordinate_loops(self, kind, d):
+        """On a function whose stacked and single evaluations agree, both
+        oracles give the old loops' numbers bit for bit."""
+        fn = _row_fn(kind, d)
+        point = np.random.default_rng([d, 33]).standard_normal(d)
+        np.testing.assert_array_equal(finite_diff_grad(fn, point), _per_coordinate_grad(fn, point))
+        assert numeric_hessian_trace(fn, point) == _per_coordinate_trace(fn, point)
+
+    def test_one_call_per_side(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return (x * x).sum(-1)
+
+        finite_diff_grad(counted, np.ones(5))
+        assert calls == [(5, 5), (5, 5)]
+        calls.clear()
+        numeric_hessian_trace(counted, np.ones(5))
+        assert calls == [(5,), (5, 5), (5, 5)]
+
+    @pytest.mark.parametrize("short_call", [0, 1], ids=["+h-stack", "-h-stack"])
+    @pytest.mark.parametrize("oracle", [finite_diff_grad, numeric_hessian_trace])
+    def test_one_value_per_point_is_enforced(self, oracle, short_call):
+        stacks = []
+
+        def fn(x):
+            if x.ndim == 1:
+                return (x * x).sum(-1)
+            stacks.append(x)
+            values = (x * x).sum(-1)
+            return values[1:] if len(stacks) - 1 == short_call else values
+
+        with pytest.raises(EvaluationError, match=r"expected shape \(4,\), got \(3,\)"):
+            oracle(fn, np.ones(4))
+
+    def test_non_finite_trace_term_names_the_coordinate(self):
+        def blows_up(x):
+            # coordinates 2 and 3 both blow up on their -h side; the first is named
+            return np.where((x[..., 2] < 0.0) | (x[..., 3] < 1.0), np.inf, (x * x).sum(-1))
+
+        with pytest.raises(EvaluationError, match="perturbing coordinate 2$"):
+            numeric_hessian_trace(blows_up, np.array([1.0, 1.0, 0.0, 1.0]))
+
+    def test_non_finite_base_value_is_named(self):
+        with pytest.raises(EvaluationError, match="base point"):
+            numeric_hessian_trace(lambda x: np.full(x.shape[:-1], np.nan), np.ones(3))
 
 
 class TestTripletTraceClosed:
@@ -103,7 +180,7 @@ class TestTripletTraceClosed:
             for scale in (1.0, 0.1, 0.01):
                 v = rng.standard_normal(d)
                 v *= scale / np.linalg.norm(v)
-                numeric = numeric_hessian_trace(lambda x: 10.0 - np.linalg.norm(x), v)
+                numeric = numeric_hessian_trace(lambda x: 10.0 - np.linalg.norm(x, axis=-1), v)
                 closed = triplet_trace_closed(v)
                 assert abs(abs(numeric) - closed) / closed <= 1e-3
                 assert numeric < 0
@@ -210,6 +287,13 @@ class TestRobustnessGap:
         with pytest.raises(InvalidConfigError):
             RobustnessProbe(n_samples=0)
 
+    @pytest.mark.parametrize("n_samples", [-2, 0, 1, 3, 5, 99_999])
+    def test_probe_needs_an_even_draw_count(self, n_samples):
+        """Draws come in antithetic pairs, so an odd count (or fewer than one
+        pair) would be rounded rather than honoured; it is refused instead."""
+        with pytest.raises(InvalidConfigError, match="even count >= 2 .*antithetic pairs"):
+            RobustnessProbe(n_samples=n_samples)
+
     def test_fixed_seed_reproduces(self):
         probe = RobustnessProbe(epsilon=0.02, n_samples=2000, seed=5)
         v = np.ones(4)
@@ -222,7 +306,7 @@ def _per_pair_gap(scalar_fn, v, probe):
     v = np.asarray(v, dtype=np.float64)
     rng = np.random.default_rng(probe.seed)
     f0 = float(scalar_fn(v))
-    n_pairs = max(probe.n_samples // 2, 1)
+    n_pairs = probe.n_samples // 2
     acc = 0.0
     for _ in range(n_pairs):
         delta = rng.uniform(-probe.epsilon, probe.epsilon, size=v.shape)
@@ -255,7 +339,7 @@ BLOCK = analysis._MC_BLOCK_PAIRS
 class TestRobustnessGapBlocks:
     """The blocked estimator against the per-pair loop it replaced."""
 
-    @pytest.mark.parametrize("n_samples", [1, 3, 2 * BLOCK - 2, 2 * BLOCK, 2 * BLOCK + 2, 100_000])
+    @pytest.mark.parametrize("n_samples", [2, 4, 2 * BLOCK - 2, 2 * BLOCK, 2 * BLOCK + 2, 100_000])
     @pytest.mark.parametrize("d", [1, 3, 16])
     @pytest.mark.parametrize("kind", ["quadratic", "softplus", "sin"])
     def test_matches_the_per_pair_loop(self, kind, d, n_samples):
@@ -285,7 +369,9 @@ class TestRobustnessGapBlocks:
         rng = np.random.default_rng(probe.seed)
         deltas = np.array([rng.uniform(-probe.epsilon, probe.epsilon, size=d)
                            for _ in range(n_pairs)])
-        assert [len(b) for b in blocks] == [BLOCK, BLOCK, 1, 1]
+        # the prediction's trace then makes its two (d, d) coordinate-step calls
+        assert [len(b) for b in blocks] == [BLOCK, BLOCK, 1, 1, d, d]
+        blocks = blocks[:4]
         np.testing.assert_array_equal(np.concatenate(blocks[0::2]), v + deltas)
         np.testing.assert_array_equal(np.concatenate(blocks[1::2]), v - deltas)
 

@@ -249,7 +249,11 @@ class TestUsageAndConfigErrors:
          "config has no 'dataset' section"),
         ("train", dict(TINY_CONFIG, train=dict(TINY_CONFIG["train"], total_iters=-1)),
          "total_iters must be >= 0, got -1"),
-    ], ids=["gen-data-without-dataset", "train-with-negative-iters"])
+        # JSON booleans are Python ints; a true seed would train as seed 1
+        ("train", dict(TINY_CONFIG, seed=True), "seed must be an integer, got true"),
+        ("gen-data", dict(TINY_CONFIG, seed=False), "seed must be an integer, got false"),
+    ], ids=["gen-data-without-dataset", "train-with-negative-iters", "train-with-seed-true",
+            "gen-data-with-seed-false"])
     def test_refused_config_creates_no_out_directory(self, command, payload, message,
                                                      tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -293,6 +297,16 @@ class TestUsageAndConfigErrors:
         captured = capsys.readouterr()
         assert f"argument {flag}: must be >= {minimum}, got {argv[-1]}" in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("samples", ["1", "3", "99999"])
+    def test_odd_sample_counts_are_refused(self, samples, tmp_path, capsys):
+        """Draws come in antithetic pairs; an odd count is refused, not rounded."""
+        out = tmp_path / "rob"
+        assert run(["robustness-check", "--samples", samples, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"even count >= 2 (draws come in antithetic pairs), got {samples}" in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert not out.exists()
 
     def test_flag_error_prints_the_subcommand_usage(self, capsys):
         """The usage line comes from the subcommand that refused the flag, so

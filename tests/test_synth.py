@@ -21,7 +21,7 @@ from metriclab import (
     vmf_density,
     write_dataset_csv,
 )
-from metriclab.errors import DegenerateConcentrationError, InvalidSpecError
+from metriclab.errors import DegenerateConcentrationError, DimensionMismatchError, InvalidSpecError
 
 
 def _unit(v):
@@ -70,6 +70,35 @@ class TestVmfDensity:
         params = VmfParams(np.array([1.0, 0.0]), 1.0)
         with pytest.raises(ValueError):
             vmf_density(np.array([2.0, 0.0]), params)
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, 20.0, 80.0])
+    def test_stack_matches_single_points(self, kappa, d):
+        """A (k, d) stack gives k values, each bit for bit the single-point
+        density of its row, which is a float."""
+        rng = np.random.default_rng([d, int(kappa), 152])
+        params = VmfParams(_unit(rng.standard_normal(d)), kappa)
+        X = rng.standard_normal((200, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        stacked = vmf_density(X, params)
+        assert stacked.shape == (200,)
+        singles = [vmf_density(x, params) for x in X]
+        assert all(type(v) is float for v in singles)
+        np.testing.assert_array_equal(stacked, singles)
+        np.testing.assert_array_equal(vmf_density(X.reshape(10, 20, d), params),
+                                      stacked.reshape(10, 20))
+
+    def test_off_sphere_row_in_a_stack_is_named(self):
+        params = VmfParams(np.array([0.0, 0.0, 1.0]), 5.0)
+        X = np.eye(3)
+        X[2] *= 1.5
+        with pytest.raises(ValueError, match="row 2 has norm 1.5"):
+            vmf_density(X, params)
+
+    def test_rejects_a_stack_of_the_wrong_dimension(self):
+        params = VmfParams(np.array([0.0, 0.0, 1.0]), 5.0)
+        with pytest.raises(DimensionMismatchError):
+            vmf_density(np.eye(4), params)
 
     def test_integrates_to_one_on_the_sphere(self):
         """Midpoint latitude-longitude quadrature of the d=3 density is
