@@ -16,7 +16,9 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .analysis import (
     RobustnessProbe,
     batch_gradcheck,
@@ -150,6 +152,7 @@ def _write_manifest(out_dir: Path, subcommand: str, payload: dict, seed, artifac
         "config_sha256": _sha256_of(payload),
         "seed": seed,
         "artifacts": sorted(artifacts),
+        "versions": {"metriclab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
@@ -463,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_check("robustness-check", _cmd_robustness_check, help="Monte-Carlo noise-gap vs prediction")
     p.add_argument("--points", type=_count(0), default=5)
-    p.add_argument("--samples", type=_count(1), default=100_000)
+    p.add_argument("--samples", type=_count(2), default=100_000)
     p.add_argument("--epsilon", type=float, default=0.01)
 
     p = add_check("margin-check", _cmd_margin_check, help="Taylor-residual bound and dynamic margins")

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .batching import anchor_layout
+from .batching import AnchorLayout, anchor_layout
 from .core import EmbeddingBatch, _cosine_values, _unit_rows
 from .errors import (
     DimensionMismatchError,
@@ -235,19 +235,62 @@ def _s_triplet(geo: BatchGeometry, cfg: LossConfig):
     return value, grad, n_non, n_total
 
 
-def _simce(geo: BatchGeometry, cfg: LossConfig):
-    g_ap, g_an = geo.blocks(geo.scores(cfg))
-    grid = geo.layout.grid
-    n_total = geo.layout.n_triplets
-    scale = cfg.temperature * max(n_total, 1)
-    z = (g_an[:, None, :] - g_ap[:, :, None]) / cfg.temperature
-    # softplus(z) = max(z, 0) + log1p(e) and sigmoid(z) from e = exp(-|z|),
-    # which cannot overflow; one exp where logaddexp + expit cost several
+# Widest score range, over T, that simce factors.  Every factor's exponent is
+# then within +-350 and a product of two within e^{+-700}, inside the normal
+# doubles (e^{+-708}): nothing overflows or flushes to zero.
+_SIMCE_FACTOR_SPAN = 700.0
+
+
+def _simce_factors(scores: np.ndarray, g_ap: np.ndarray, g_an: np.ndarray, lay: AnchorLayout,
+                   temperature: float):
+    """Per-anchor factors Ep (B, P) and En (B, M) with Ep[a, p] * En[a, n] = exp(z) on
+    the grid, z = (g_an[a, n] - g_ap[a, p]) / T, and exactly 0 in padded slots.
+
+    One shift c per batch, the midpoint of the score matrix's range, so every
+    exponent of Ep = exp((c - g_ap) / T) and En = exp((g_an - c) / T), padded
+    slots included (they hold diagonal scores), is at most half that range
+    over T.  None when there is no triplet or the range over T exceeds
+    _SIMCE_FACTOR_SPAN: raw scores at large norms, or a tiny temperature.
+    Cosines span at most 2, so they factor at every T >= 2 / 700.
+    """
+    if not lay.n_triplets:
+        return None
+    lo, hi = scores.min(), scores.max()
+    if not (hi - lo) / temperature <= _SIMCE_FACTOR_SPAN:  # not <=, so NaN falls back too
+        return None
+    c = 0.5 * (lo + hi)
+    return (np.exp((c - g_ap) / temperature) * lay.pos_mask,
+            np.exp((g_an - c) / temperature) * lay.neg_mask)
+
+
+def _simce_direct(g_ap: np.ndarray, g_an: np.ndarray, grid: np.ndarray, temperature: float):
+    """Sum of softplus(z) over the grid and sigmoid(z) on it (0 off it), from
+    e = exp(-|z|), which cannot overflow: the fallback of the factored form."""
+    z = (g_an[:, None, :] - g_ap[:, :, None]) / temperature
     e = np.exp(-np.abs(z))
-    value = float((np.maximum(z, 0.0) + np.log1p(e)).sum(where=grid) / max(n_total, 1))
-    lam = np.where(grid, np.where(z >= 0.0, 1.0, e) / (1.0 + e), 0.0)
+    total = (np.maximum(z, 0.0) + np.log1p(e)).sum(where=grid)
+    return total, np.where(grid, np.where(z >= 0.0, 1.0, e) / (1.0 + e), 0.0)
+
+
+def _simce(geo: BatchGeometry, cfg: LossConfig):
+    lay = geo.layout
+    scores = geo.scores(cfg)
+    g_ap, g_an = geo.blocks(scores)
+    n_total = lay.n_triplets
+    factors = _simce_factors(scores, g_ap, g_an, lay, cfg.temperature)
+    if factors is None:
+        total, lam = _simce_direct(g_ap, g_an, lay.grid, cfg.temperature)
+    else:
+        # u = exp(z), 0 off the grid: softplus(z) = log1p(u) and sigmoid(z) =
+        # u / (1 + u), written into u and one more grid-sized buffer
+        e_p, e_n = factors
+        u = e_p[:, :, None] * e_n[:, None, :]
+        buf = np.log1p(u)
+        total = buf.sum()
+        lam = np.divide(u, np.add(u, 1.0, out=buf), out=u)
+    scale = cfg.temperature * max(n_total, 1)
     grad = geo.score_grad(geo.coefficients(-lam.sum(axis=2) / scale, lam.sum(axis=1) / scale), cfg)
-    return value, grad, n_total, n_total
+    return float(total / max(n_total, 1)), grad, n_total, n_total
 
 
 def _m_simce(geo: BatchGeometry, cfg: LossConfig):
@@ -320,7 +363,12 @@ def simce_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossResult:
 
     Per triplet: -log(e^{<a,p>/T} / (e^{<a,p>/T} + e^{<a,n>/T})), which is
     softplus((<a,n> - <a,p>) / T), averaged over all triplets.  Every
-    triplet contributes, so n_non == n_total.
+    triplet contributes, so n_non == n_total.  The exponentials are taken
+    per anchor: e^z = e^{(c - <a,p>)/T} * e^{(<a,n> - c)/T} with one shift c
+    per batch, and padded slots of the factors are exactly 0, so one product
+    over the triplet grid gives softplus as log1p and sigmoid as u / (1 + u).
+    Scores spanning more than 700 T (raw inner products at large norms, or a
+    tiny T) fall back to the exp(-|z|) form, which cannot overflow.
     """
     return LossResult(*_simce(BatchGeometry(batch), cfg))
 

@@ -15,7 +15,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import metriclab
 from metriclab import cli, gen_dataset, reference_train_config, training, write_dataset_csv
@@ -170,6 +172,9 @@ class TestTrainEvalRoundTrip:
         assert evals[0] == "iter,rank1,uniformity,kappa_hat,inter_intra"
         assert [int(line.split(",")[0]) for line in evals[1:]] == [0, 3, 6]
         assert "train: triplet_only for 6 iterations" in capsys.readouterr().out
+        # deterministic, so the manifest stays byte-identical across reruns
+        assert _manifest(out)["versions"] == {
+            "metriclab": metriclab.__version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
     def test_train_is_byte_reproducible(self, tiny_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -288,7 +293,8 @@ class TestUsageAndConfigErrors:
         (["hessian-check", "--trials", "-3"], "--trials", 0),
         (["margin-check", "--trials", "-1"], "--trials", 0),
         (["robustness-check", "--points", "-2"], "--points", 0),
-        (["robustness-check", "--samples", "0"], "--samples", 1),
+        (["robustness-check", "--samples", "0"], "--samples", 2),
+        (["robustness-check", "--samples", "1"], "--samples", 2),
     ])
     def test_probe_counts_below_their_minimum_are_usage_errors(self, argv, flag, minimum, capsys):
         """A count that checks nothing (gradcheck) or runs fewer probes than
@@ -298,7 +304,7 @@ class TestUsageAndConfigErrors:
         assert f"argument {flag}: must be >= {minimum}, got {argv[-1]}" in captured.err
         assert "PASS" not in captured.out
 
-    @pytest.mark.parametrize("samples", ["1", "3", "99999"])
+    @pytest.mark.parametrize("samples", ["3", "99999"])
     def test_odd_sample_counts_are_refused(self, samples, tmp_path, capsys):
         """Draws come in antithetic pairs; an odd count is refused, not rounded."""
         out = tmp_path / "rob"
@@ -371,6 +377,13 @@ class TestReferenceConfigFile:
         # the manifest hash names the config that ran, dataset seed included
         assert config.raw_payload["seed"] == 3
         assert config.raw_payload["dataset"]["seed"] == 3017
+
+    def test_ci_rerun_config_is_the_reference_at_combined_simce(self):
+        """configs/ci-combined-simce.json, which CI trains twice and compares
+        byte for byte, is the reference run shortened to 200 iterations."""
+        config = ExperimentConfig.from_file("configs/ci-combined-simce.json")
+        assert config.train_config() == reference_train_config(
+            variant="combined_simce", seed=0, total_iters=200, eval_interval=100)
 
     def test_sha256_is_stable_under_key_order(self, tmp_path):
         payload = json.loads(open("configs/reference.json").read())

@@ -24,10 +24,13 @@ from metriclab import (
     ce_loss,
     combined_loss,
     cosine_sim,
+    losses,
     m_simce_loss,
+    reference_train_config,
     s_triplet_loss,
     sample_gradcheck_batch,
     simce_loss,
+    train,
     triplet_loss,
     weight_from_sim,
 )
@@ -775,3 +778,124 @@ def test_combined_loss_is_the_bitwise_sum_of_the_public_losses(variant, detach, 
     assert (total.n_non, total.n_total) == (hinge.n_non, hinge.n_total)
     assert bits(total.head_grad_weight) == bits(ce.head_grad_weight)
     assert bits(total.head_grad_bias) == bits(ce.head_grad_bias)
+
+
+# ---------------------------------------------------------------------------
+# the factored simce kernel: exp(z) as a product of per-anchor factors, with
+# the exp(-|z|) form as its one fallback (empty layouts and the range guard)
+
+
+def _count_fallbacks(monkeypatch):
+    """Route losses._simce_direct through a counter; returns the list of calls."""
+    calls = []
+    direct = losses._simce_direct
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(losses, "_simce_direct", counted)
+    return calls
+
+
+@pytest.mark.parametrize("temperature", [0.05, 0.7, 3.0])
+@PROPERTY_SETTINGS
+@given(drawn=_labelled_data(), normalize=st.booleans())
+def test_simce_matches_the_loop_oracle_at_every_temperature(temperature, drawn, normalize):
+    """Value and gradient against the per-triplet logaddexp loop, on unbalanced,
+    singleton-class and no-pair layouts, raw and cosine scores."""
+    data, labels = drawn
+    cfg = LossConfig(temperature=temperature, normalize_for_simce=normalize)
+    result = simce_loss(EmbeddingBatch(data, labels), cfg)
+    value, _, n_total = _brute_loss("simce", data, labels, cfg)
+    np.testing.assert_allclose(result.value, value, rtol=1e-12, atol=1e-12)
+    assert result.n_total == n_total
+    numeric = _central_differences(lambda d: _brute_loss("simce", d, labels, cfg)[0], data)
+    scale = max(1.0, float(np.abs(numeric).max()))
+    np.testing.assert_allclose(result.grad, numeric, rtol=0.0, atol=1e-6 * scale)
+
+
+class TestFactoredSimce:
+    def _layouts(self):
+        rng = np.random.default_rng(57)
+        for n_classes, per_class in ((2, 2), (4, 4), (8, 8), (3, 5)):
+            yield np.repeat(np.arange(n_classes), per_class), rng
+        for size in (5, 9, 17, 30):
+            labels = rng.integers(0, 4, size)
+            labels[:2] = (0, 1)  # two classes at least
+            yield labels, rng
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "cosine"])
+    @pytest.mark.parametrize("temperature", [0.05, 0.7, 1.0, 3.0])
+    def test_agrees_with_the_direct_form(self, normalize, temperature, monkeypatch):
+        """Within 1e-13 of the exp(-|z|) form in value and gradient, PK and
+        unbalanced layouts alike, whenever the factored form runs."""
+        cfg = LossConfig(temperature=temperature, normalize_for_simce=normalize)
+        calls = _count_fallbacks(monkeypatch)
+        factored = []
+        for labels, rng in self._layouts():
+            batch = EmbeddingBatch(rng.standard_normal((labels.size, 8)), labels)
+            before = len(calls)
+            fast = simce_loss(batch, cfg)
+            if len(calls) > before:
+                continue  # the range guard fired: this was the direct form already
+            factored.append(labels.size)
+            with monkeypatch.context() as forced:
+                forced.setattr(losses, "_simce_factors", lambda *args: None)
+                direct = simce_loss(batch, cfg)
+            np.testing.assert_allclose(fast.value, direct.value, rtol=1e-13, atol=0.0)
+            scale = float(np.abs(direct.grad).max())
+            np.testing.assert_allclose(fast.grad, direct.grad, rtol=0.0, atol=1e-13 * scale)
+        assert len(factored) >= 6
+
+    def test_range_guard_keeps_raw_scores_near_900_finite(self, monkeypatch):
+        """Rows of norm 30 on opposite and orthogonal axes next to unit-scale rows:
+        scores span about +-900, so the guard hands the batch to the direct form,
+        which matches the loop oracle in value and gradient."""
+        rng = np.random.default_rng(58)
+        data = np.vstack([30.0 * np.eye(3)[[0, 0, 1, 2]] * [[1], [-1], [1], [-1]],
+                          rng.standard_normal((4, 3))])
+        labels = np.array([0, 0, 1, 1, 0, 1, 2, 2])
+        calls = _count_fallbacks(monkeypatch)
+        cfg = LossConfig()
+        result = simce_loss(EmbeddingBatch(data, labels), cfg)
+        assert len(calls) == 1
+        assert np.isfinite(result.value) and np.all(np.isfinite(result.grad))
+        value, _, _ = _brute_loss("simce", data, labels, cfg)
+        np.testing.assert_allclose(result.value, value, rtol=1e-12)
+        numeric = _central_differences(lambda d: _brute_loss("simce", d, labels, cfg)[0], data)
+        np.testing.assert_allclose(result.grad, numeric, rtol=0.0,
+                                   atol=1e-6 * float(np.abs(numeric).max()))
+
+    def test_shift_centres_a_large_common_offset(self, monkeypatch):
+        """Rows near 30 e_0 give raw scores near 900 that differ by a few tens:
+        the guard lets them through, and only the shift keeps the factors finite
+        (unshifted, e^{900} overflows), so the factored form must match the loop
+        oracle."""
+        rng = np.random.default_rng(59)
+        data = 30.0 * np.eye(4)[0] + 0.2 * rng.standard_normal((9, 4))
+        labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 3])
+        calls = _count_fallbacks(monkeypatch)
+        for temperature in (1.0, 3.0):
+            cfg = LossConfig(temperature=temperature)
+            result = simce_loss(EmbeddingBatch(data, labels), cfg)
+            value, _, _ = _brute_loss("simce", data, labels, cfg)
+            np.testing.assert_allclose(result.value, value, rtol=1e-12)
+        assert calls == []
+
+    def test_cosine_scores_at_the_reference_config_never_fall_back(self, monkeypatch):
+        """Cosines span at most 2, far inside the guard at T = 1: a combined_simce
+        run of the reference config makes every simce call through the factors."""
+        calls = _count_fallbacks(monkeypatch)
+        factored = []
+        factors = losses._simce_factors
+
+        def counted(*args):
+            out = factors(*args)
+            factored.append(out is not None)
+            return out
+
+        monkeypatch.setattr(losses, "_simce_factors", counted)
+        train(reference_train_config("combined_simce", total_iters=100, eval_interval=100))
+        assert calls == []
+        assert len(factored) == 100 and all(factored)
