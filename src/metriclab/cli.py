@@ -408,9 +408,13 @@ def _cmd_selftest(args) -> int:
     check("softmax trace + bound", rep.bound_satisfied and rel <= TRACE_TOLERANCE,
           f"numeric {rep.numeric_trace:.6f} closed {rep.closed_form_trace:.6f}")
 
-    probe = RobustnessProbe(epsilon=0.01, n_samples=20_000, seed=11)
-    mc, pred = robustness_gap(lambda w: (w * w).sum(-1), rng.standard_normal(4), probe)
-    check("robustness quadratic", abs(mc - pred) / abs(pred) <= 1e-3,
+    # the gap is the mean of |delta|^2 over n pairs, with relative standard error
+    # sqrt(0.8 / (d n)): 3.2e6 pairs put the 1e-3 tolerance at 4 of them for d = 4
+    dim, tol = 4, 1e-3
+    n_pairs = round(0.8 / dim * (4 / tol) ** 2)
+    probe = RobustnessProbe(epsilon=0.01, n_samples=2 * n_pairs, seed=11)
+    mc, pred = robustness_gap(lambda w: (w * w).sum(-1), rng.standard_normal(dim), probe)
+    check("robustness quadratic", abs(mc - pred) / abs(pred) <= tol,
           f"mc {mc:.3e} vs predicted {pred:.3e}")
 
     zs = np.arange(-200, 1) * 0.1

@@ -7,6 +7,7 @@ central finite differences.  Hand-computed constants are stated in the
 docstrings of the tests that freeze them.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from metriclab import (
     triplet_loss,
     weight_from_sim,
 )
+from metriclab.core import _unchecked_batch
 from metriclab.errors import InvalidConfigError, InvalidLabelError, NoNegativesError, NonFiniteError
 from metriclab.losses import COMBINED_VARIANTS, REDUCTIONS
 
@@ -899,3 +901,129 @@ class TestFactoredSimce:
         train(reference_train_config("combined_simce", total_iters=100, eval_interval=100))
         assert calls == []
         assert len(factored) == 100 and all(factored)
+
+
+# ---------------------------------------------------------------------------
+# the sorted hinge: from P = losses._HINGE_SORT_MIN_P positives per anchor on,
+# _hinge counts active triplets with one sort per anchor instead of the
+# (B, P, M) grid; counts and weights must be the grid's bit for bit
+
+
+def _both_hinge_paths(monkeypatch, call):
+    """call() on the sorted path, then again with the grid forced.  Returns each
+    run's result and the (value, lam_p, lam_n, n_non, n_total) its _hinge gave,
+    after checking that only the first run sorted."""
+    outs, sorts = [], []
+    hinge, counts = losses._hinge, losses._hinge_counts
+
+    def recorded_hinge(*args):
+        outs.append(hinge(*args))
+        return outs[-1]
+
+    def recorded_counts(*args):
+        sorts.append(len(outs))
+        return counts(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(losses, "_hinge", recorded_hinge)
+        patched.setattr(losses, "_hinge_counts", recorded_counts)
+        fast = call()
+        patched.setattr(losses, "_HINGE_SORT_MIN_P", 10**9)
+        dense = call()
+    assert len(outs) == 2 and sorts == [0]
+    return (fast, outs[0]), (dense, outs[1])
+
+
+class TestSortedHinge:
+    def _layouts(self):
+        """Layouts past the crossover: a PK batch at P = 8 exactly, an unbalanced
+        one with a singleton class, and integer-coordinate rows, whose distances
+        are square roots of integers, so m + d(a, p) == d(a, n) happens often
+        at margins 0 and 1."""
+        rng = np.random.default_rng(61)
+        yield "pk", np.repeat(np.arange(3), 9), rng.standard_normal((27, 4))
+        labels = rng.integers(0, 3, 30)
+        labels[:10], labels[10] = 0, 3
+        yield "unbalanced", labels, rng.standard_normal((30, 4))
+        yield "integer", np.repeat(np.arange(3), [10, 9, 9]), rng.integers(1, 4, (28, 3)) * 1.0
+
+    @pytest.mark.parametrize("name, detach", [("triplet", False), ("s_triplet", False),
+                                              ("s_triplet", True)],
+                             ids=["triplet", "s_triplet-attached", "s_triplet-detached"])
+    @pytest.mark.parametrize("margin", [0.0, 0.3, 1.0])
+    def test_counts_are_the_grids_and_the_value_the_loop_oracles(self, name, detach, margin,
+                                                                   monkeypatch):
+        bits = lambda x: np.asarray(x, dtype=np.float64).tobytes()  # noqa: E731
+        for layout, labels, data in self._layouts():
+            batch = EmbeddingBatch(data, labels)
+            assert losses.anchor_layout(labels).pos_idx.shape[1] >= losses._HINGE_SORT_MIN_P
+            args = _hinge_args(data, labels, LossConfig(margin=margin), name == "s_triplet")
+            if layout == "integer" and name == "triplet" and margin != 0.3:
+                assert np.count_nonzero(args == 0.0) > 0  # ties reach the kernel
+            for reduction in REDUCTIONS:
+                cfg = LossConfig(margin=margin, reduction=reduction, detach_similarity=detach)
+                (fast, f_hinge), (dense, d_hinge) = _both_hinge_paths(
+                    monkeypatch, lambda: PAIR_LOSSES[name](batch, cfg))
+                assert f_hinge[3:] == d_hinge[3:]  # n_non, n_total
+                assert bits(f_hinge[1]) == bits(d_hinge[1]) and bits(f_hinge[2]) == bits(d_hinge[2])
+                assert bits(fast.grad) == bits(dense.grad)
+                assert fast.n_total == args.size
+                # at an exact tie, whether the weighted argument rounds to 0 or to
+                # +-1 ulp depends on how its cosine was computed, so n_non is the
+                # oracle's for the plain hinge only; the hinge sum is continuous there
+                if name == "triplet":
+                    assert fast.n_non == np.count_nonzero(args > 0.0)
+                denom = fast.n_non if reduction == "mean_over_nonzero" else args.size
+                assert abs(fast.value - np.maximum(args, 0.0).sum() / max(denom, 1)) <= 1e-12
+
+    @pytest.mark.parametrize("row", ["overflowing", "nan"])
+    @pytest.mark.parametrize("name", ["triplet", "s_triplet", "combined_simce", "combined_m_simce"])
+    def test_a_non_finite_row_raises_on_both_paths(self, row, name, monkeypatch):
+        """The grid leaves a NaN hinge argument inactive; the sort keys a NaN
+        threshold like padding, so it does too.  A (16, 16) batch with one row
+        of about 1e200, or one NaN entry (possible on the unchecked step batch
+        training builds), raises the same NonFiniteError on either path."""
+        rng = np.random.default_rng(62)
+        data = rng.standard_normal((256, 16))
+        if row == "nan":
+            data[37, 2] = np.nan
+        else:
+            data[37] *= 1e200
+        batch = _unchecked_batch(data, np.repeat(np.arange(16), 16))
+        head = ClassifierHead.init(rng, 16, 16)
+        errors = []
+
+        def call():
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteError) as caught:
+                    losses.LOSSES[name](batch, LossConfig(), head)
+            errors.append(str(caught.value))
+
+        _both_hinge_paths(monkeypatch, call)
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("variant", ["triplet_only", "combined_simce"])
+    def test_wide_reference_runs_match_the_grid_bit_for_bit(self, variant, monkeypatch):
+        """(16, 16) batches of the reference config: every step sorts, and the
+        parameters and n_non series are the grid's; the loss series differs by
+        rounding only."""
+        config = dataclasses.replace(
+            reference_train_config(variant, total_iters=20, eval_interval=20),
+            batch=BatchSpec(16, 16))
+        sorts = []
+        counts = losses._hinge_counts
+
+        def counted(*args):
+            sorts.append(1)
+            return counts(*args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(losses, "_hinge_counts", counted)
+            fast = train(config)
+            assert len(sorts) == 20
+            patched.setattr(losses, "_HINGE_SORT_MIN_P", 10**9)
+            dense = train(config)
+        assert len(sorts) == 20
+        assert fast.params_digest == dense.params_digest
+        np.testing.assert_array_equal(fast.n_non, dense.n_non)
+        np.testing.assert_allclose(fast.losses, dense.losses, rtol=1e-12, atol=0.0)
