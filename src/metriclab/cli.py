@@ -71,6 +71,13 @@ def _count(minimum: int):
     return parse
 
 
+def _loss_name(text: str) -> str:
+    """argparse type for ``--loss``: 'all' or a loss name, '-' allowed for '_'; kept as typed."""
+    if text != "all" and text.replace("-", "_") not in LOSSES:
+        raise argparse.ArgumentTypeError(f"unknown loss {text!r}; pick from {('all',) + LOSS_NAMES}")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -108,6 +115,8 @@ class ExperimentConfig:
         seed = payload.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise InvalidConfigError(f"{path}: seed must be an integer, got {json.dumps(seed)}")
+        if seed < 0:
+            raise InvalidConfigError(f"{path}: seed must be >= 0, got {seed}")
         dataset = _build_section(DatasetSpec, payload.get("dataset"), "dataset")
         batch = _build_section(BatchSpec, payload.get("batch"), "batch")
         loss = _build_section(LossConfig, payload.get("loss"), "loss") or LossConfig()
@@ -158,23 +167,8 @@ def _write_manifest(out_dir: Path, subcommand: str, payload: dict, seed, artifac
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
-def _emit_report(args, payload: dict, report: dict, detail: str) -> int:
-    """Write the report (to --out or stdout), print the verdict line, return the exit code."""
-    subcommand = payload["subcommand"]
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(text, encoding="ascii")
-        _write_manifest(out, subcommand, payload, payload.get("seed"), ["report.json"])
-    else:
-        sys.stdout.write(text)
-    print(f"{subcommand}: {'PASS' if report['pass'] else 'FAIL'} ({detail})")
-    return 0 if report["pass"] else 2
-
-
 # ---------------------------------------------------------------------------
-# check subcommands
+# probes, each shared by its check command and selftest
 
 
 def _loss_callable(name: str, cfg: LossConfig, head: ClassifierHead):
@@ -184,122 +178,182 @@ def _loss_callable(name: str, cfg: LossConfig, head: ClassifierHead):
     return lambda b: loss(b, cfg, head)
 
 
-def _cmd_gradcheck(args) -> int:
-    names = LOSS_NAMES if args.loss == "all" else (args.loss.replace("-", "_"),)
+def _gradcheck_error(rng, name: str, n: int, k: int, dim: int) -> float:
     cfg = LossConfig()
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for name in names:
-        worst = 0.0
-        for _ in range(args.trials):
-            n = int(rng.choice((2, 4)))
-            k = int(rng.choice((2, 4)))
-            dim = int(rng.choice((3, 8, 16)))
-            batch = sample_gradcheck_batch(rng, n, k, dim, cfg)
-            head = ClassifierHead.init(rng, n, dim)
-            err = batch_gradcheck(_loss_callable(name, cfg, head), batch)
-            worst = max(worst, err)
-        rows.append({"loss": name, "trials": args.trials, "max_rel_error": worst,
-                     "pass": worst <= GRADCHECK_TOLERANCE})
-    ok = all(r["pass"] for r in rows)
-    payload = {"subcommand": "gradcheck", "loss": args.loss, "trials": args.trials,
-               "seed": args.seed, "tolerance": GRADCHECK_TOLERANCE}
-    worst = max(r["max_rel_error"] for r in rows)
-    return _emit_report(args, payload, {"results": rows, "pass": ok},
-                        f"worst {worst:.3e}, tol {GRADCHECK_TOLERANCE:g}")
+    batch = sample_gradcheck_batch(rng, n, k, dim, cfg)
+    head = ClassifierHead.init(rng, n, dim)
+    return batch_gradcheck(_loss_callable(name, cfg, head), batch)
 
 
-def _cmd_hessian_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    reports = []
-    ok = True
-    for dim in (3, 8):
-        for scale in (1.0, 0.1, 0.01):
-            direction = rng.standard_normal(dim)
-            v = direction / np.linalg.norm(direction) * scale
-            a = rng.standard_normal(dim)
-            p = a + rng.standard_normal(dim) * 0.05
-            d_ap = float(np.linalg.norm(a - p))
-            margin = float(np.linalg.norm(a - (a - v))) - d_ap + 0.5
-
-            def hinge(n_vec, a=a, d_ap=d_ap, margin=margin):
-                return np.maximum(0.0, margin + d_ap - np.linalg.norm(a - n_vec, axis=-1))
-
-            numeric = numeric_hessian_trace(hinge, a - v, h=1e-4)
-            closed = triplet_trace_closed(v)
-            rel = abs(abs(numeric) - closed) / closed
-            ok &= rel <= TRACE_TOLERANCE
-            reports.append({"kind": "triplet", "dim": dim, "v_norm": scale,
-                            "numeric_trace": numeric, "closed_form": closed,
-                            "rel_error": rel, "pass": rel <= TRACE_TOLERANCE})
-    for _ in range(args.trials):
-        dim = int(rng.choice((3, 8, 16)))
-        a = rng.standard_normal(dim)
-        a /= np.linalg.norm(a)
-        p = rng.standard_normal(dim)
-        n = rng.standard_normal(dim)
-        rep = simce_trace_closed(a, p, n, temperature=1.0)
-        rel = abs(rep.numeric_trace - rep.closed_form_trace) / max(abs(rep.closed_form_trace), 1e-12)
-        good = rep.bound_satisfied and rel <= TRACE_TOLERANCE
-        ok &= good
-        reports.append({"kind": "simce", "dim": dim,
-                        "numeric_trace": rep.numeric_trace,
-                        "closed_form": rep.closed_form_trace,
-                        "bound": rep.bound, "bound_satisfied": rep.bound_satisfied,
-                        "rel_error": rel, "pass": good})
-    payload = {"subcommand": "hessian-check", "trials": args.trials, "seed": args.seed,
-               "tolerance": TRACE_TOLERANCE}
-    return _emit_report(args, payload, {"probes": reports, "pass": ok}, f"{len(reports)} probes")
+def _gradcheck_row(name: str, errors: list) -> dict:
+    worst = max(errors)
+    return {"loss": name, "trials": len(errors), "max_rel_error": worst,
+            "pass": worst <= GRADCHECK_TOLERANCE}
 
 
-def _cmd_robustness_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    probes = []
-    ok = True
-    quad_dim = 6
-    probe = RobustnessProbe(epsilon=args.epsilon, n_samples=args.samples, seed=args.seed + 1)
-    v0 = rng.standard_normal(quad_dim)
-    mc, pred = robustness_gap(lambda v: (v * v).sum(-1), v0, probe)
+def _triplet_trace_probe(rng, dim: int, scale: float) -> dict:
+    """The hinge's trace in its negative at distance ``scale`` from the anchor."""
+    direction = rng.standard_normal(dim)
+    v = direction / np.linalg.norm(direction) * scale
+    a = rng.standard_normal(dim)
+    p = a + rng.standard_normal(dim) * 0.05
+    d_ap = float(np.linalg.norm(a - p))
+    margin = float(np.linalg.norm(a - (a - v))) - d_ap + 0.5
+
+    def hinge(n_vec):
+        return np.maximum(0.0, margin + d_ap - np.linalg.norm(a - n_vec, axis=-1))
+
+    numeric = numeric_hessian_trace(hinge, a - v, h=1e-4)
+    closed = triplet_trace_closed(v)
+    rel = abs(abs(numeric) - closed) / closed
+    return {"kind": "triplet", "dim": dim, "v_norm": scale, "numeric_trace": numeric,
+            "closed_form": closed, "rel_error": rel, "pass": rel <= TRACE_TOLERANCE}
+
+
+def _simce_trace_probe(rng, dim: int) -> dict:
+    a = rng.standard_normal(dim)
+    a /= np.linalg.norm(a)
+    rep = simce_trace_closed(a, rng.standard_normal(dim), rng.standard_normal(dim), temperature=1.0)
+    rel = abs(rep.numeric_trace - rep.closed_form_trace) / max(abs(rep.closed_form_trace), 1e-12)
+    return {"kind": "simce", "dim": dim, "numeric_trace": rep.numeric_trace,
+            "closed_form": rep.closed_form_trace, "bound": rep.bound,
+            "bound_satisfied": rep.bound_satisfied, "rel_error": rel,
+            "pass": rep.bound_satisfied and rel <= TRACE_TOLERANCE}
+
+
+def _gap_row(fn, v, probe: RobustnessProbe, tol: float, **row) -> dict:
+    mc, pred = robustness_gap(fn, v, probe)  # looked up per call, so a caller may wrap it
     rel = abs(mc - pred) / abs(pred)
-    ok &= rel <= 1e-3  # quadratic: the expansion is exact, only MC noise remains
-    probes.append({"kind": "quadratic", "mc": mc, "predicted": pred,
-                   "rel_error": rel, "pass": rel <= 1e-3})
-    for _ in range(args.points):
-        dim = int(rng.choice((3, 8, 16)))
-        a = rng.standard_normal(dim)
-        a /= np.linalg.norm(a)
-        p = rng.standard_normal(dim)
-        n = rng.standard_normal(dim)
-
-        def simce_value(v, a=a, p=p):
-            return np.logaddexp(0.0, (a - v) @ a - a @ p)
-
-        mc, pred = robustness_gap(simce_value, a - n, probe)
-        rel = abs(mc - pred) / abs(pred)
-        ok &= rel <= ROBUSTNESS_TOLERANCE
-        probes.append({"kind": "simce", "dim": dim, "mc": mc, "predicted": pred,
-                       "rel_error": rel, "pass": rel <= ROBUSTNESS_TOLERANCE})
-    payload = {"subcommand": "robustness-check", "points": args.points,
-               "samples": args.samples, "epsilon": args.epsilon, "seed": args.seed}
-    return _emit_report(args, payload, {"probes": probes, "pass": ok}, f"{len(probes)} probes")
+    return {**row, "mc": mc, "predicted": pred, "rel_error": rel, "pass": rel <= tol}
 
 
-def _cmd_margin_check(args) -> int:
+def _quadratic_control(v0, probe: RobustnessProbe, tol: float) -> dict:
+    """The gap of |v|^2: its expansion is exact, so only Monte-Carlo noise remains."""
+    return _gap_row(lambda v: (v * v).sum(-1), v0, probe, tol, kind="quadratic")
+
+
+def _simce_gap_probe(rng, dim: int, probe: RobustnessProbe) -> dict:
+    a = rng.standard_normal(dim)
+    a /= np.linalg.norm(a)
+    p, n = rng.standard_normal(dim), rng.standard_normal(dim)
+    return _gap_row(lambda v: np.logaddexp(0.0, (a - v) @ a - a @ p), a - n, probe,
+                    ROBUSTNESS_TOLERANCE, kind="simce", dim=dim)
+
+
+def _margin_excess() -> dict:
+    """|softplus(z) - exp(z)| against its bound exp(2z)/2 on z in [-20, 0]."""
     zs = np.arange(-200, 1) * 0.1
     residuals = np.abs(np.logaddexp(0.0, zs) - np.exp(zs))
     bounds = np.exp(2.0 * zs) / 2.0
-    ok = bool(np.all(residuals <= bounds + 1e-12))
-    rng = np.random.default_rng(args.seed)
+    return {"grid_points": int(zs.size), "max_excess": float((residuals - bounds).max()),
+            "pass": bool(np.all(residuals <= bounds + 1e-12))}
+
+
+# ---------------------------------------------------------------------------
+# check subcommands
+
+
+def _check_command(fn):
+    """Run ``fn(args, rng)`` on a generator seeded with ``--seed``; write the report.
+
+    ``fn`` returns the report, the verdict detail and any payload keys beyond
+    the flags. The report goes to ``--out``, beside its manifest, or to stdout.
+    """
+    def command(args) -> int:
+        report, detail, extra = fn(args, np.random.default_rng(args.seed))
+        payload = {k: v for k, v in vars(args).items() if k not in ("out", "func")} | extra
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "report.json").write_text(text, encoding="ascii")
+            _write_manifest(out, args.subcommand, payload, args.seed, ["report.json"])
+        else:
+            sys.stdout.write(text)
+        print(f"{args.subcommand}: {'PASS' if report['pass'] else 'FAIL'} ({detail})")
+        return 0 if report["pass"] else 2
+    return command
+
+
+def _gradcheck(args, rng):
+    names = LOSS_NAMES if args.loss == "all" else (args.loss.replace("-", "_"),)
+    rows = []
+    for name in names:
+        errors = [_gradcheck_error(rng, name, int(rng.choice((2, 4))), int(rng.choice((2, 4))),
+                                   int(rng.choice((3, 8, 16)))) for _ in range(args.trials)]
+        rows.append(_gradcheck_row(name, errors))
+    worst = max(r["max_rel_error"] for r in rows)
+    return ({"results": rows, "pass": all(r["pass"] for r in rows)},
+            f"worst {worst:.3e}, tol {GRADCHECK_TOLERANCE:g}", {"tolerance": GRADCHECK_TOLERANCE})
+
+
+def _hessian_check(args, rng):
+    probes = [_triplet_trace_probe(rng, dim, scale) for dim in (3, 8) for scale in (1.0, 0.1, 0.01)]
+    probes += [_simce_trace_probe(rng, int(rng.choice((3, 8, 16)))) for _ in range(args.trials)]
+    return ({"probes": probes, "pass": all(p["pass"] for p in probes)},
+            f"{len(probes)} probes", {"tolerance": TRACE_TOLERANCE})
+
+
+def _robustness_check(args, rng):
+    probe = RobustnessProbe(epsilon=args.epsilon, n_samples=args.samples, seed=args.seed + 1)
+    probes = [_quadratic_control(rng.standard_normal(6), probe, 1e-3)]
+    probes += [_simce_gap_probe(rng, int(rng.choice((3, 8, 16))), probe) for _ in range(args.points)]
+    return {"probes": probes, "pass": all(p["pass"] for p in probes)}, f"{len(probes)} probes", {}
+
+
+def _margin_check(args, rng):
     margins = []
     for _ in range(args.trials):
         a = rng.standard_normal(8)
         a /= np.linalg.norm(a)
         margin, residual = dynamic_margin(a, rng.standard_normal(8), rng.standard_normal(8))
         margins.append({"margin": margin, "residual": residual})
-    report = {"grid_points": int(zs.size), "max_excess": float((residuals - bounds).max()),
-              "margins": margins, "pass": ok}
-    payload = {"subcommand": "margin-check", "trials": args.trials, "seed": args.seed}
-    return _emit_report(args, payload, report, f"{zs.size} grid points")
+    report = dict(_margin_excess(), margins=margins)
+    return report, f"{report['grid_points']} grid points", {}
+
+
+def _cmd_selftest(args) -> int:
+    """The check commands' probes at fixed small sizes, plus batch-all counts and vMF."""
+    rng = np.random.default_rng(7)
+    failures = []
+
+    def check(name, row):
+        if not row["pass"]:
+            failures.append(name)
+        print(f"ok {name}" if row["pass"] else f"FAIL {name}: {row}")
+
+    for name in LOSS_NAMES:
+        check(f"gradcheck {name}", _gradcheck_row(name, [_gradcheck_error(rng, name, 2, 2, 5)]))
+    check("triplet trace", _triplet_trace_probe(rng, 5, 1.0))
+    check("softmax trace + bound", _simce_trace_probe(rng, 8))
+    # the gap is the mean of |delta|^2 over n pairs, with relative standard error
+    # sqrt(0.8 / (d n)): 3.2e6 pairs put the 1e-3 tolerance at 4 of them for d = 4
+    dim, tol = 4, 1e-3
+    n_pairs = round(0.8 / dim * (4 / tol) ** 2)
+    probe = RobustnessProbe(epsilon=0.01, n_samples=2 * n_pairs, seed=11)
+    check("robustness quadratic", _quadratic_control(rng.standard_normal(dim), probe, tol))
+    check("margin residual bound", _margin_excess())
+
+    labels = np.repeat(np.arange(8), 8)
+    tri, pairs = enumerate_triplets(labels), enumerate_pos_pairs(labels)
+    check("batch-all counts (8x8)", {
+        "triplets": len(tri), "pairs": len(pairs),
+        "pass": len(tri) == 25088 and len(pairs) == 448 and bool(np.all(np.diff(pairs.neg_offsets) == 56))})
+
+    mu = np.zeros(3)
+    mu[2] = 1.0
+    kappa = estimate_kappa(np.stack([sample_vmf(VmfParams(mu, 20.0), rng) for _ in range(4000)]))
+    check("vmf round trip", {"kappa_hat": kappa, "pass": abs(kappa - 20.0) / 20.0 <= 0.15})
+    dens = vmf_density(mu, VmfParams(mu, 1.0))
+    expected = 1.0 * np.e / (4 * np.pi * np.sinh(1.0))
+    check("vmf density d=3", {"density": dens, "expected": expected,
+                              "pass": abs(dens - expected) <= 1e-12})
+
+    if failures:
+        print(f"selftest: FAIL ({len(failures)} of the checks)")
+        return 2
+    print("selftest: PASS")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,80 +427,6 @@ def _export_sim(config, args):
 
 
 # ---------------------------------------------------------------------------
-# selftest
-
-
-def _cmd_selftest(args) -> int:
-    rng = np.random.default_rng(7)
-    cfg = LossConfig()
-    failures = []
-
-    def check(name, good, detail=""):
-        if good:
-            print(f"ok {name}")
-        else:
-            failures.append(name)
-            print(f"FAIL {name}: {detail}")
-
-    for name in LOSS_NAMES:
-        batch = sample_gradcheck_batch(rng, 2, 2, 5, cfg)
-        head = ClassifierHead.init(rng, 2, 5)
-        err = batch_gradcheck(_loss_callable(name, cfg, head), batch)
-        check(f"gradcheck {name}", err <= GRADCHECK_TOLERANCE, f"rel error {err:.3e}")
-
-    v = rng.standard_normal(5)
-    v /= np.linalg.norm(v)
-    closed = triplet_trace_closed(v)
-    numeric = numeric_hessian_trace(lambda w: -np.linalg.norm(w, axis=-1), v, h=1e-4)
-    check("triplet trace", abs(abs(numeric) - closed) / closed <= TRACE_TOLERANCE,
-          f"numeric {numeric:.6f} vs closed {closed:.6f}")
-
-    a = rng.standard_normal(8)
-    a /= np.linalg.norm(a)
-    rep = simce_trace_closed(a, rng.standard_normal(8), rng.standard_normal(8))
-    rel = abs(rep.numeric_trace - rep.closed_form_trace) / max(abs(rep.closed_form_trace), 1e-12)
-    check("softmax trace + bound", rep.bound_satisfied and rel <= TRACE_TOLERANCE,
-          f"numeric {rep.numeric_trace:.6f} closed {rep.closed_form_trace:.6f}")
-
-    # the gap is the mean of |delta|^2 over n pairs, with relative standard error
-    # sqrt(0.8 / (d n)): 3.2e6 pairs put the 1e-3 tolerance at 4 of them for d = 4
-    dim, tol = 4, 1e-3
-    n_pairs = round(0.8 / dim * (4 / tol) ** 2)
-    probe = RobustnessProbe(epsilon=0.01, n_samples=2 * n_pairs, seed=11)
-    mc, pred = robustness_gap(lambda w: (w * w).sum(-1), rng.standard_normal(dim), probe)
-    check("robustness quadratic", abs(mc - pred) / abs(pred) <= tol,
-          f"mc {mc:.3e} vs predicted {pred:.3e}")
-
-    zs = np.arange(-200, 1) * 0.1
-    residual = np.abs(np.logaddexp(0.0, zs) - np.exp(zs))
-    check("margin residual bound", bool(np.all(residual <= np.exp(2 * zs) / 2.0 + 1e-12)),
-          "residual exceeded exp(2z)/2")
-
-    labels = np.repeat(np.arange(8), 8)
-    tri = enumerate_triplets(labels)
-    pairs = enumerate_pos_pairs(labels)
-    counts_ok = (len(tri) == 25088 and len(pairs) == 448
-                 and bool(np.all(np.diff(pairs.neg_offsets) == 56)))
-    check("batch-all counts (8x8)", counts_ok, f"{len(tri)} triplets, {len(pairs)} pairs")
-
-    mu = np.zeros(3)
-    mu[2] = 1.0
-    draws = np.stack([sample_vmf(VmfParams(mu, 20.0), rng) for _ in range(4000)])
-    kappa = estimate_kappa(draws)
-    check("vmf round trip", abs(kappa - 20.0) / 20.0 <= 0.15, f"kappa_hat {kappa:.2f}")
-    dens = vmf_density(mu, VmfParams(mu, 1.0))
-    expected = 1.0 * np.e / (4 * np.pi * np.sinh(1.0))
-    check("vmf density d=3", abs(dens - expected) <= 1e-12,
-          f"{dens:.9f} vs {expected:.9f}")
-
-    if failures:
-        print(f"selftest: FAIL ({len(failures)} of the checks)")
-        return 2
-    print("selftest: PASS")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
@@ -456,24 +436,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_check(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_check_command(fn))
         p.add_argument("--out", help="directory for the report and its manifest (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_count(0), default=0)
         return p
 
-    p = add_check("gradcheck", _cmd_gradcheck, help="finite-difference check of every loss gradient")
-    p.add_argument("--loss", default="all", help=f"one of {('all',) + LOSS_NAMES}")
+    p = add_check("gradcheck", _gradcheck, help="finite-difference check of every loss gradient")
+    p.add_argument("--loss", type=_loss_name, default="all", help=f"one of {('all',) + LOSS_NAMES}")
     p.add_argument("--trials", type=_count(1), default=20)
 
-    p = add_check("hessian-check", _cmd_hessian_check, help="trace probes against their closed forms")
+    p = add_check("hessian-check", _hessian_check, help="trace probes against their closed forms")
     p.add_argument("--trials", type=_count(0), default=50)
 
-    p = add_check("robustness-check", _cmd_robustness_check, help="Monte-Carlo noise-gap vs prediction")
+    p = add_check("robustness-check", _robustness_check, help="Monte-Carlo noise-gap vs prediction")
     p.add_argument("--points", type=_count(0), default=5)
     p.add_argument("--samples", type=_count(2), default=100_000)
     p.add_argument("--epsilon", type=float, default=0.01)
 
-    p = add_check("margin-check", _cmd_margin_check, help="Taylor-residual bound and dynamic margins")
+    p = add_check("margin-check", _margin_check, help="Taylor-residual bound and dynamic margins")
     p.add_argument("--trials", type=_count(0), default=5)
 
     def add_data(name, fn, **kwargs):
@@ -481,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_data_command(fn))
         p.add_argument("--out", required=True, help="directory for the artifacts and the run manifest")
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_count(0), default=None,
                        help="run seed S; the dataset seed becomes 1000*S + 17")
         return p
 

@@ -230,6 +230,8 @@ class TrainConfig:
             raise InvalidConfigError(f"total_iters must be >= 0, got {self.total_iters}")
         if self.eval_interval < 1:
             raise InvalidConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if self.embed_dim < 2:
             raise InvalidConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
         if self.hidden_dim is not None and self.hidden_dim < 1:
@@ -251,6 +253,8 @@ class TrainConfig:
 
 def dataset_seed(seed: int) -> int:
     """The one seed rule: run seed s trains on dataset seed 1000 s + 17 (library and CLI)."""
+    if seed < 0:
+        raise InvalidConfigError(f"run seed must be >= 0, got {seed}")
     return 1000 * seed + 17
 
 

@@ -74,8 +74,13 @@ class TestCheckCommands:
         assert [r["loss"] for r in report["results"]] == ["simce"]
 
     def test_gradcheck_unknown_loss_is_usage_error(self, capsys):
+        """The parser refuses the name, with the subcommand's usage and every
+        name it takes, 'all' included."""
         assert run(["gradcheck", "--loss", "nosuch", "--trials", "1"]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: metriclab gradcheck")
+        assert "error: argument --loss: unknown loss 'nosuch'" in err
+        assert all(f"'{name}'" in err for name in ("all",) + cli.LOSS_NAMES)
 
     def test_hessian_check(self, tmp_path, capsys):
         out = tmp_path / "hess"
@@ -97,6 +102,42 @@ class TestCheckCommands:
         code = run(["robustness-check", "--points", "1", "--samples", "50", "--seed", "5"])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_selftest_runs_the_shared_probes(self, monkeypatch, capsys):
+        """A failing simce trace probe fails hessian-check and selftest alike,
+        and selftest names that check and counts it."""
+        probe = cli._simce_trace_probe
+        monkeypatch.setattr(cli, "_simce_trace_probe",
+                            lambda rng, dim: {**probe(rng, dim), "pass": False})
+        assert run(["hessian-check", "--trials", "1"]) == 2
+        assert "hessian-check: FAIL" in capsys.readouterr().out
+        assert run(["selftest"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+            "FAIL softmax trace + bound"]
+        assert lines[-1] == "selftest: FAIL (1 of the checks)"
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["gradcheck", "--loss", "combined-simce", "--trials", "2", "--seed", "3"],
+         {"subcommand": "gradcheck", "loss": "combined-simce", "trials": 2, "seed": 3,
+          "tolerance": 1e-6}),
+        (["hessian-check", "--trials", "4", "--seed", "5"],
+         {"subcommand": "hessian-check", "trials": 4, "seed": 5, "tolerance": 1e-3}),
+        (["robustness-check", "--points", "1", "--samples", "2000", "--epsilon", "0.02",
+          "--seed", "2"],
+         {"subcommand": "robustness-check", "points": 1, "samples": 2000, "epsilon": 0.02,
+          "seed": 2}),
+        (["margin-check", "--trials", "2", "--seed", "9"],
+         {"subcommand": "margin-check", "trials": 2, "seed": 9}),
+    ], ids=["gradcheck", "hessian-check", "robustness-check", "margin-check"])
+    def test_manifest_hashes_the_flags_the_check_ran_with(self, argv, payload, tmp_path):
+        """config_sha256 is the hash of the subcommand, its flags bar --out, and
+        the tolerance where the command records one; --loss is hashed as typed."""
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) in (0, 2)  # 2000 draws may miss the 1e-3 control
+        manifest = _manifest(out)
+        assert manifest["config_sha256"] == cli._sha256_of(payload)
+        assert manifest["seed"] == payload["seed"]
 
     def test_margin_check(self, tmp_path):
         out = tmp_path / "margin"
@@ -257,8 +298,11 @@ class TestUsageAndConfigErrors:
         # JSON booleans are Python ints; a true seed would train as seed 1
         ("train", dict(TINY_CONFIG, seed=True), "seed must be an integer, got true"),
         ("gen-data", dict(TINY_CONFIG, seed=False), "seed must be an integer, got false"),
+        ("train", dict(TINY_CONFIG, seed=-1), "seed must be >= 0, got -1"),
+        # gen-data reads the dataset's own seed, so only the config check refuses this one
+        ("gen-data", dict(TINY_CONFIG, seed=-3), "seed must be >= 0, got -3"),
     ], ids=["gen-data-without-dataset", "train-with-negative-iters", "train-with-seed-true",
-            "gen-data-with-seed-false"])
+            "gen-data-with-seed-false", "train-with-negative-seed", "gen-data-with-negative-seed"])
     def test_refused_config_creates_no_out_directory(self, command, payload, message,
                                                      tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -295,14 +339,24 @@ class TestUsageAndConfigErrors:
         (["robustness-check", "--points", "-2"], "--points", 0),
         (["robustness-check", "--samples", "0"], "--samples", 2),
         (["robustness-check", "--samples", "1"], "--samples", 2),
+        (["gradcheck", "--seed", "-1"], "--seed", 0),
+        (["hessian-check", "--seed", "-1"], "--seed", 0),
+        (["robustness-check", "--seed", "-1"], "--seed", 0),
+        (["margin-check", "--seed", "-1"], "--seed", 0),
+        (["gen-data", "--config", "c.json", "--out", "o", "--seed", "-2"], "--seed", 0),
+        (["train", "--config", "c.json", "--out", "o", "--seed", "-1"], "--seed", 0),
     ])
-    def test_probe_counts_below_their_minimum_are_usage_errors(self, argv, flag, minimum, capsys):
-        """A count that checks nothing (gradcheck) or runs fewer probes than
-        asked (negative counts) is refused before any probe runs."""
+    def test_probe_counts_below_their_minimum_are_usage_errors(self, argv, flag, minimum,
+                                                               tmp_path, monkeypatch, capsys):
+        """A count that checks nothing (gradcheck), runs fewer probes than
+        asked (negative counts) or a negative seed is refused before any
+        probe runs or any file is read or written."""
+        monkeypatch.chdir(tmp_path)
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert f"argument {flag}: must be >= {minimum}, got {argv[-1]}" in captured.err
         assert "PASS" not in captured.out
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("samples", ["3", "99999"])
     def test_odd_sample_counts_are_refused(self, samples, tmp_path, capsys):

@@ -205,6 +205,10 @@ class TestDatasetSpec:
         with pytest.raises(InvalidSpecError):
             DatasetSpec(0, 2, 2, 4, 5.0, 10.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSpecError, match="seed must be >= 0, got -2"):
+            DatasetSpec(2, 2, 2, 4, 5.0, 10.0, seed=-2)
+
     def test_sample_count(self):
         assert DatasetSpec(32, 2, 50, 32, 20.0, 80.0).n_samples == 3200
 

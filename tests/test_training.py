@@ -325,6 +325,13 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfigError):
             _small_config(momentum=1.5)
 
+    def test_negative_seeds_are_refused_naming_the_seed(self):
+        """A negative seed is refused where it is set, not deep inside NumPy."""
+        with pytest.raises(InvalidConfigError, match="seed must be >= 0, got -1"):
+            _small_config(seed=-1)
+        with pytest.raises(InvalidConfigError, match="run seed must be >= 0, got -1"):
+            reference_train_config(seed=-1)
+
     def test_reference_config_pins(self):
         """The benchmark configuration is frozen; runs elsewhere must be
         comparable, so the exact numbers are part of the contract."""
