@@ -31,7 +31,6 @@ from .batching import (
 from .core import (
     EmbeddingBatch,
     SimMatrix,
-    cosine_sim,
     read_sim_matrix_csv,
     similarity_matrix,
     write_sim_matrix_csv,

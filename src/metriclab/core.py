@@ -95,19 +95,6 @@ class SimMatrix:
         return self.values.shape[0]
 
 
-def cosine_sim(x, y) -> float:
-    """Cosine of the angle between x and y, clamped to [-1, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"shape {x.shape} vs {y.shape}")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise DegenerateVectorError("cosine similarity is undefined for a zero vector")
-    return float(np.clip(np.dot(x, y) / (nx * ny), -1.0, 1.0))
-
-
 def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X scaled to unit rows, and the row norms."""
     norms = np.linalg.norm(X, axis=1)

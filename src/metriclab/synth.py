@@ -152,6 +152,8 @@ class DatasetSpec:
             raise InvalidSpecError(f"noise_fraction must be in [0, 1), got {self.noise_fraction}")
         if self.noise_fraction > 0.0 and self.n_classes < 2:
             raise InvalidSpecError("noise needs at least 2 classes to borrow a wrong one from")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise InvalidSpecError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
 

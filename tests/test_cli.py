@@ -7,6 +7,7 @@ artifacts can be asserted directly; one subprocess test covers the
 installed console script.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -20,7 +21,7 @@ import pytest
 import scipy
 
 import metriclab
-from metriclab import cli, gen_dataset, reference_train_config, training, write_dataset_csv
+from metriclab import cli, gen_dataset, losses, reference_train_config, training, write_dataset_csv
 from metriclab.cli import ExperimentConfig, run
 from metriclab.training import dataset_seed
 
@@ -301,15 +302,22 @@ class TestUsageAndConfigErrors:
         ("train", dict(TINY_CONFIG, seed=-1), "seed must be >= 0, got -1"),
         # gen-data reads the dataset's own seed, so only the config check refuses this one
         ("gen-data", dict(TINY_CONFIG, seed=-3), "seed must be >= 0, got -3"),
+        # the dataset's own seed: a float reached the generator as a TypeError traceback
+        ("gen-data", dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], seed=1.5)),
+         "seed must be an integer, got 1.5"),
+        ("train", dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], seed=True)),
+         "seed must be an integer, got True"),
     ], ids=["gen-data-without-dataset", "train-with-negative-iters", "train-with-seed-true",
-            "gen-data-with-seed-false", "train-with-negative-seed", "gen-data-with-negative-seed"])
+            "gen-data-with-seed-false", "train-with-negative-seed", "gen-data-with-negative-seed",
+            "gen-data-with-dataset-seed-1.5", "train-with-dataset-seed-true"])
     def test_refused_config_creates_no_out_directory(self, command, payload, message,
                                                      tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload), encoding="ascii")
         out = tmp_path / "out"
         assert run([command, "--config", str(path), "--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.splitlines()[-1].startswith("error: ")
         assert not out.exists()
 
     def test_unknown_key_inside_a_section(self, tmp_path, capsys):
@@ -438,6 +446,19 @@ class TestReferenceConfigFile:
         config = ExperimentConfig.from_file("configs/ci-combined-simce.json")
         assert config.train_config() == reference_train_config(
             variant="combined_simce", seed=0, total_iters=200, eval_interval=100)
+
+    def test_ci_wide_simce_config_takes_the_gram_and_blocked_paths(self):
+        """configs/ci-wide-simce.json, which CI also trains twice and compares, is
+        ci-wide-triplet at combined_simce for 20 iterations: its batches take the
+        Gram distances and its simce grid spans several anchor blocks."""
+        wide = ExperimentConfig.from_file("configs/ci-wide-simce.json").train_config()
+        triplet = ExperimentConfig.from_file("configs/ci-wide-triplet.json").train_config()
+        assert wide == dataclasses.replace(triplet, variant="combined_simce", total_iters=20,
+                                           eval_interval=10)
+        spec = wide.batch
+        assert spec.batch_size >= losses._DIST_GRAM_MIN_ROWS
+        grid = (spec.samples_per_class - 1) * (spec.batch_size - spec.samples_per_class)
+        assert spec.batch_size * grid >= 3 * losses._SIMCE_BLOCK_ELEMS
 
     def test_sha256_is_stable_under_key_order(self, tmp_path):
         payload = json.loads(open("configs/reference.json").read())

@@ -24,7 +24,6 @@ from metriclab import (
     batch_gradcheck,
     ce_loss,
     combined_loss,
-    cosine_sim,
     losses,
     m_simce_loss,
     reference_train_config,
@@ -59,6 +58,11 @@ def _brute_pairs(labels):
             for a in range(size) for p in range(size) if a != p and labels[a] == labels[p]]
 
 
+def _cosine(x, y):
+    """Cosine of the angle between two nonzero rows, clipped to [-1, 1] as the losses clip it."""
+    return float(np.clip(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)), -1.0, 1.0))
+
+
 def _hinge_args(data, labels, cfg, weighted=False, weights_from=None):
     """margin + w_ap d(a, p) - w_an d(a, n) per triplet, before the relu.
 
@@ -69,8 +73,8 @@ def _hinge_args(data, labels, cfg, weighted=False, weights_from=None):
     wdata = data if weights_from is None else weights_from
     args = []
     for a, p, n in _brute_triplets(labels):
-        w_ap = weight_from_sim(cosine_sim(wdata[a], wdata[p])) if weighted else 1.0
-        w_an = weight_from_sim(cosine_sim(wdata[a], wdata[n])) if weighted else 1.0
+        w_ap = weight_from_sim(_cosine(wdata[a], wdata[p])) if weighted else 1.0
+        w_an = weight_from_sim(_cosine(wdata[a], wdata[n])) if weighted else 1.0
         d_ap = np.linalg.norm(data[a] - data[p])
         d_an = np.linalg.norm(data[a] - data[n])
         args.append(cfg.margin + w_ap * d_ap - w_an * d_an)
@@ -238,7 +242,7 @@ class TestSTripletLoss:
         data = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         batch = EmbeddingBatch(data, np.array([0, 0, 1]))
         cfg = LossConfig(margin=0.2)
-        w_an = weight_from_sim(cosine_sim(data[0], data[2]))
+        w_an = weight_from_sim(_cosine(data[0], data[2]))
         d_an = np.linalg.norm(data[0] - data[2])
         expected_first = max(0.0, cfg.margin - w_an * d_an)
         terms = _weighted_hinge_terms(data, batch.labels, cfg)
@@ -286,8 +290,8 @@ class TestSTripletLoss:
         labels = batch.labels
         triplets = _brute_triplets(labels)
         frozen_w = [
-            (weight_from_sim(cosine_sim(base[a], base[p])),
-             weight_from_sim(cosine_sim(base[a], base[n])))
+            (weight_from_sim(_cosine(base[a], base[p])),
+             weight_from_sim(_cosine(base[a], base[n])))
             for a, p, n in triplets
         ]
 
@@ -849,6 +853,38 @@ class TestFactoredSimce:
             scale = float(np.abs(direct.grad).max())
             np.testing.assert_allclose(fast.grad, direct.grad, rtol=0.0, atol=1e-13 * scale)
         assert len(factored) >= 6
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "cosine"])
+    def test_anchor_blocks_keep_the_gradient_bits(self, normalize, monkeypatch):
+        """A (16, 16) batch and an unbalanced 300-row one, each over 3 or more
+        blocks of anchors: the gradient is the one-block run's bit for bit, and the
+        value, summed block by block, within 1e-13 relative."""
+        rng = np.random.default_rng(60)
+        unbalanced = rng.integers(0, 5, 300)
+        unbalanced[:40] = 0
+        cfg = LossConfig(temperature=0.7, normalize_for_simce=normalize)
+        slab, slabs = losses._simce_slab, []
+
+        def counted(*args):
+            slabs.append(args[0].shape[0])
+            return slab(*args)
+
+        for labels in (np.repeat(np.arange(16), 16), unbalanced):
+            batch = EmbeddingBatch(0.5 * rng.standard_normal((labels.size, 8)), labels)
+            grid = int(losses.anchor_layout(labels).grid[0].size)
+            runs = []
+            # every anchor in one block, then 7 a block, the last one partial
+            for rows in (labels.size, 7):
+                with monkeypatch.context() as patched:
+                    patched.setattr(losses, "_simce_slab", counted)
+                    patched.setattr(losses, "_SIMCE_BLOCK_ELEMS", rows * grid + grid - 1)
+                    slabs.clear()
+                    runs.append((simce_loss(batch, cfg), list(slabs)))
+            (whole, one), (blocked, many) = runs
+            assert one == [labels.size]
+            assert len(many) >= 3 and set(many[:-1]) == {7} and sum(many) == labels.size
+            assert blocked.grad.tobytes() == whole.grad.tobytes()
+            np.testing.assert_allclose(blocked.value, whole.value, rtol=1e-13, atol=0.0)
 
     def test_range_guard_keeps_raw_scores_near_900_finite(self, monkeypatch):
         """Rows of norm 30 on opposite and orthogonal axes next to unit-scale rows:

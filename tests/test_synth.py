@@ -7,6 +7,7 @@ draws; the estimator against a generator round trip.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ class TestDatasetSpec:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidSpecError, match="seed must be >= 0, got -2"):
             DatasetSpec(2, 2, 2, 4, 5.0, 10.0, seed=-2)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.bool_(False), "3"],
+                             ids=["float", "integral-float", "bool", "numpy-bool", "string"])
+    def test_non_integer_seed_rejected(self, seed):
+        """A float or a string would reach the generator as a TypeError, and a
+        boolean would run silently as seed 0 or 1."""
+        message = f"seed must be an integer, got {re.escape(repr(seed))}"
+        with pytest.raises(InvalidSpecError, match=message):
+            DatasetSpec(2, 2, 2, 4, 5.0, 10.0, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = DatasetSpec(2, 2, 2, 4, 5.0, 10.0, seed=np.int64(4))
+        assert np.array_equal(gen_dataset(spec).features,
+                              gen_dataset(DatasetSpec(2, 2, 2, 4, 5.0, 10.0, seed=4)).features)
 
     def test_sample_count(self):
         assert DatasetSpec(32, 2, 50, 32, 20.0, 80.0).n_samples == 3200
