@@ -117,19 +117,13 @@ class ExperimentConfig:
             raise InvalidConfigError(f"{path}: seed must be an integer, got {json.dumps(seed)}")
         if seed < 0:
             raise InvalidConfigError(f"{path}: seed must be >= 0, got {seed}")
-        dataset = _build_section(DatasetSpec, payload.get("dataset"), "dataset")
-        batch = _build_section(BatchSpec, payload.get("batch"), "batch")
-        loss = _build_section(LossConfig, payload.get("loss"), "loss") or LossConfig()
-        train = payload.get("train", {})
-        if not isinstance(train, dict):
-            raise InvalidConfigError("config section 'train' must be an object")
-        own = {"dataset", "batch", "loss", "seed"}
-        allowed = {f.name for f in dataclasses.fields(TrainConfig)} - own
-        bad = sorted(set(train) - allowed)
-        if bad:
-            raise InvalidConfigError(f"unknown key {bad[0]!r} in config section 'train'")
-        return cls(seed=seed, dataset=dataset, batch=batch, loss=loss,
-                   train=dict(train), raw_payload=payload)
+        sections = (("dataset", DatasetSpec), ("batch", BatchSpec), ("loss", LossConfig))
+        dataset, batch, loss = (_build_section(c, payload.get(name), name, path) for name, c in sections)
+        loss, train = loss or LossConfig(), payload.get("train", {})
+        # built here only for its checks, so a bad value fails before any command runs
+        _build_section(TrainConfig, train, "train", path, dataset=dataset, batch=batch, loss=loss, seed=seed)
+        return cls(seed=seed, dataset=dataset, batch=batch, loss=loss, train=dict(train or {}),
+                   raw_payload=payload)
 
     def train_config(self) -> TrainConfig:
         if self.dataset is None or self.batch is None:
@@ -138,16 +132,33 @@ class ExperimentConfig:
                            seed=self.seed, **self.train)
 
 
-def _build_section(cls, section, name):
+# the JSON value types a field of each declared type takes (a JSON boolean is no number)
+_FIELD_TYPES = {"int": ({int}, "an integer"), "int | None": ({int, type(None)}, "an integer or null"),
+                "float": ({int, float}, "a number"), "str": ({str}, "a string"), "bool": ({bool}, "a boolean")}
+
+
+def _build_section(cls, section, name, path, **own):
+    """cls(**section, **own), the section's keys checked against cls's fields less ``own``:
+    known, present when required, of the declared type.  Errors name the file and section."""
     if section is None:
         return None
+    where = f"{path}: config section {name!r}"
     if not isinstance(section, dict):
-        raise InvalidConfigError(f"config section {name!r} must be an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - allowed)
+        raise InvalidConfigError(f"{where} must be an object")
+    fields = [f for f in dataclasses.fields(cls) if f.name not in own]
+    unknown = sorted(set(section) - {f.name for f in fields})
     if unknown:
-        raise InvalidConfigError(f"unknown key {unknown[0]!r} in config section {name!r}")
-    return cls(**section)
+        raise InvalidConfigError(f"{where}: unknown key {unknown[0]!r}")
+    for f in fields:
+        value = section.get(f.name, f.default)
+        if value is dataclasses.MISSING:
+            raise InvalidConfigError(f"{where}: missing key {f.name!r}")
+        if type(value) not in _FIELD_TYPES[f.type][0]:
+            raise InvalidConfigError(f"{where}: {f.name} must be {_FIELD_TYPES[f.type][1]}, got {json.dumps(value)}")
+    try:
+        return cls(**section, **own)
+    except ValueError as exc:
+        raise InvalidConfigError(f"{where}: {exc}") from exc
 
 
 def _sha256_of(payload: dict) -> str:

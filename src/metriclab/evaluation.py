@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingBatch, _unit_rows, similarity_matrix, write_sim_matrix_csv
+from .core import EmbeddingBatch, _pairwise_dist, _unit_rows, similarity_matrix, write_sim_matrix_csv
 from .errors import DegenerateConcentrationError, DimensionMismatchError, NonFiniteError
 from .synth import estimate_kappa
 
@@ -122,8 +122,7 @@ def variance_ratio(embeddings, labels) -> VarianceStats:
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("variance ratio needs at least two classes")
-    diff = X[:, None, :] - X[None, :, :]
-    D = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    D = _pairwise_dist(X)
     same = y[:, None] == y[None, :]
     off_diag = ~np.eye(y.size, dtype=bool)
     intra_mask = same & off_diag

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .batching import AnchorLayout, anchor_layout
-from .core import EmbeddingBatch, _cosine_values, _unit_rows
+from .core import EmbeddingBatch, _cosine_values, _pairwise_dist, _unit_rows
 from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
@@ -137,12 +137,7 @@ class BatchGeometry:
 
     @cached_property
     def dist(self) -> np.ndarray:
-        # explicit differences below _DIST_GRAM_MIN_ROWS rows, every gradcheck
-        # batch among them, and the Gram form from there on
-        X = self.batch.data
-        if X.shape[0] < _DIST_GRAM_MIN_ROWS:
-            return _explicit_dist(X)
-        return _gram_dist(X)
+        return _pairwise_dist(self.batch.data)
 
     @cached_property
     def unit_norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,55 +173,6 @@ class BatchGeometry:
         flat[self.layout.pos_flat] = c_pos
         flat[self.layout.neg_flat] = c_neg
         return C
-
-
-# Fewest rows at which BatchGeometry.dist takes the Gram form.  The explicit
-# form builds the (B, B, D) difference tensor, 8.4 MB at (16, 16).  One call
-# on unit rows, d = 16, best of 7 on one pinned CPU, explicit / Gram: 16 rows
-# 14 / 21 us, 32 rows 40 / 31 us, 64 rows 124 / 64 us, 256 rows 2.8 / 0.9 ms.
-_DIST_GRAM_MIN_ROWS = 32
-# Gram entries with d^2 <= (n_i + n_j) / ratio are recomputed explicitly.
-_DIST_RECOMPUTE_RATIO = 16.0
-# Squared row norms the Gram form takes.  Inside this range no product or sum
-# overflows, and underflow costs less than one ulp of a kept entry.
-_DIST_GRAM_NORMS = (1e-250, 1e250)
-
-
-def _explicit_dist(X: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances of the rows of X from the (B, B, D) differences."""
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def _gram_dist(X: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances from d^2 = n_i + n_j - 2 <x_i, x_j>, one BLAS product.
-
-    Exactly symmetric, with a zero diagonal.  Every entry with d^2 <= (n_i +
-    n_j) / rho, rho = _DIST_RECOMPUTE_RATIO, is recomputed from explicit
-    differences, so close pairs, where the Gram form would cancel, carry the
-    bits of _explicit_dist.  Each other entry is within rho (D + 2) eps_mach
-    of the exact d^2, relative: its rounding error is at most about (D + 1)
-    eps_mach (n_i + n_j) + eps_mach d^2 / 2, and n_i + n_j < rho d^2 there.
-    A squared row norm outside _DIST_GRAM_NORMS, or a NaN, sends the whole
-    batch to _explicit_dist, so an entry is finite exactly when it is there.
-    """
-    # a copied transpose, so one GEMM: NumPy's SYRK route for X @ X.T fills its
-    # lower triangle element by element, 110 us of 165 at 256 rows.  An
-    # overflow here shows in the norms, which send the batch to the explicit form.
-    with np.errstate(over="ignore"):
-        G = X @ X.T.copy()
-    n = G.diagonal()
-    lo, hi = _DIST_GRAM_NORMS
-    if not (n.min() >= lo and n.max() <= hi):  # a NaN fails both comparisons
-        return _explicit_dist(X)
-    n_sum = n[:, None] + n
-    d2 = n_sum - (G + G.T)  # G + G.T is symmetric to the bit, so d2 is
-    flat = d2.ravel()  # a view: d2 is contiguous
-    redo = np.flatnonzero(flat * _DIST_RECOMPUTE_RATIO <= n_sum.ravel())
-    i, j = np.divmod(redo, X.shape[0])
-    diff = X[i] - X[j]
-    flat[redo] = np.einsum("ij,ij->i", diff, diff)
-    return np.sqrt(d2, out=d2)
 
 
 def _grad_from_dist(C: np.ndarray, X: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -365,12 +311,14 @@ def _simce_factors(scores: np.ndarray, g_ap: np.ndarray, g_an: np.ndarray, lay: 
 
 
 def _simce_direct(g_ap: np.ndarray, g_an: np.ndarray, grid: np.ndarray, temperature: float):
-    """Sum of softplus(z) over the grid and sigmoid(z) on it (0 off it), from
-    e = exp(-|z|), which cannot overflow: the fallback of the factored form."""
+    """Sum of softplus(z) over the grid, and sigmoid(z) on it summed over its negatives
+    (B, P) and over its positives (B, M), from e = exp(-|z|), which cannot overflow:
+    the fallback of the factored form."""
     z = (g_an[:, None, :] - g_ap[:, :, None]) / temperature
     e = np.exp(-np.abs(z))
     total = (np.maximum(z, 0.0) + np.log1p(e)).sum(where=grid)
-    return total, np.where(grid, np.where(z >= 0.0, 1.0, e) / (1.0 + e), 0.0)
+    lam = np.where(grid, np.where(z >= 0.0, 1.0, e) / (1.0 + e), 0.0)
+    return total, lam.sum(axis=2), lam.sum(axis=1)
 
 
 # Most (rows, P, M) grid elements the factored simce takes in one pass: its
@@ -399,6 +347,8 @@ def _simce_blocks(e_p: np.ndarray, e_n: np.ndarray):
     moves by rounding.
     """
     rows = max(1, _SIMCE_BLOCK_ELEMS // (e_p.shape[1] * e_n.shape[1]))
+    if rows >= e_p.shape[0]:  # no loop for one block: its ~3 us a call is 2% of a verify gradcheck batch
+        return _simce_slab(e_p, e_n)
     total, lam_p, lam_n = 0.0, np.empty_like(e_p), np.empty_like(e_n)
     for a in range(0, e_p.shape[0], rows):
         part, lam_p[a:a + rows], lam_n[a:a + rows] = _simce_slab(e_p[a:a + rows], e_n[a:a + rows])
@@ -412,15 +362,8 @@ def _simce(geo: BatchGeometry, cfg: LossConfig):
     g_ap, g_an = geo.blocks(scores)
     n_total = lay.n_triplets
     factors = _simce_factors(scores, g_ap, g_an, lay, cfg.temperature)
-    if factors is None:
-        total, lam = _simce_direct(g_ap, g_an, lay.grid, cfg.temperature)
-        lam_p, lam_n = lam.sum(axis=2), lam.sum(axis=1)
-    elif lay.grid.size <= _SIMCE_BLOCK_ELEMS:
-        # no loop when the grid fits one block: its fixed cost, about 20 us,
-        # would land on every call of a 16-row gradcheck batch
-        total, lam_p, lam_n = _simce_slab(*factors)
-    else:
-        total, lam_p, lam_n = _simce_blocks(*factors)
+    total, lam_p, lam_n = (_simce_direct(g_ap, g_an, lay.grid, cfg.temperature) if factors is None
+                           else _simce_blocks(*factors))
     scale = cfg.temperature * max(n_total, 1)
     grad = geo.score_grad(geo.coefficients(-lam_p / scale, lam_n / scale), cfg)
     return float(total / max(n_total, 1)), grad, n_total, n_total

@@ -21,7 +21,7 @@ import pytest
 import scipy
 
 import metriclab
-from metriclab import cli, gen_dataset, losses, reference_train_config, training, write_dataset_csv
+from metriclab import cli, core, gen_dataset, losses, reference_train_config, training, write_dataset_csv
 from metriclab.cli import ExperimentConfig, run
 from metriclab.training import dataset_seed
 
@@ -306,7 +306,7 @@ class TestUsageAndConfigErrors:
         ("gen-data", dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], seed=1.5)),
          "seed must be an integer, got 1.5"),
         ("train", dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], seed=True)),
-         "seed must be an integer, got True"),
+         "seed must be an integer, got true"),
     ], ids=["gen-data-without-dataset", "train-with-negative-iters", "train-with-seed-true",
             "gen-data-with-seed-false", "train-with-negative-seed", "gen-data-with-negative-seed",
             "gen-data-with-dataset-seed-1.5", "train-with-dataset-seed-true"])
@@ -319,6 +319,29 @@ class TestUsageAndConfigErrors:
         err = capsys.readouterr().err
         assert message in err and err.splitlines()[-1].startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, change, message", [
+        ("gen-data", "dataset", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("gen-data", "dataset", {"input_dim": None}, "missing key 'input_dim'"),
+        ("train", "batch", {"samples_per_class": None}, "missing key 'samples_per_class'"),
+        ("train", "loss", {"margin": "0.6"}, 'margin must be a number, got "0.6"'),
+        ("train", "loss", {"temperature": 0.0}, "temperature must be finite and > 0, got 0.0"),
+        ("train", "train", {"total_iters": "10"}, 'total_iters must be an integer, got "10"'),
+        # the train section is checked with the file, whatever the command
+        ("gen-data", "train", {"variant": "nope"}, "variant must be one of ('triplet_only', "
+         "'combined_simce', 'combined_m_simce'), got 'nope'"),
+    ], ids=["dataset-seed-1.5", "dataset-without-input-dim", "batch-without-samples-per-class",
+            "margin-as-a-string", "zero-temperature", "total-iters-as-a-string", "unknown-variant"])
+    def test_section_errors_name_the_file_and_the_section(self, command, section, change, message,
+                                                          tmp_path, capsys):
+        """One error line and exit 1.  A missing key or a wrongly typed value used
+        to end in a TypeError traceback, and a section's own errors did not say
+        which file or section they came from.  A None in ``change`` drops the key."""
+        changed = {k: v for k, v in dict(TINY_CONFIG[section], **change).items() if v is not None}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, **{section: changed})), encoding="ascii")
+        assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: config section '{section}': {message}\n"
 
     def test_unknown_key_inside_a_section(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -456,7 +479,7 @@ class TestReferenceConfigFile:
         assert wide == dataclasses.replace(triplet, variant="combined_simce", total_iters=20,
                                            eval_interval=10)
         spec = wide.batch
-        assert spec.batch_size >= losses._DIST_GRAM_MIN_ROWS
+        assert spec.batch_size >= core._DIST_GRAM_MIN_ROWS
         grid = (spec.samples_per_class - 1) * (spec.batch_size - spec.samples_per_class)
         assert spec.batch_size * grid >= 3 * losses._SIMCE_BLOCK_ELEMS
 

@@ -18,8 +18,7 @@ from metriclab import (
     similarity_matrix,
     write_sim_matrix_csv,
 )
-from metriclab import losses
-from metriclab.core import _cosine_values, _unchecked_batch, _unit_rows
+from metriclab.core import _cosine_values, _unit_rows
 from metriclab.errors import DegenerateVectorError
 from metriclab.losses import BatchGeometry
 
@@ -36,50 +35,10 @@ def _dist(*rows):
     return BatchGeometry(EmbeddingBatch(data, np.arange(len(rows)) % 2)).dist
 
 
-def _dist_layouts(size, dim, rng):
-    """(name, data, labels) on ``size`` rows: PK and unbalanced labels, a
-    singleton class, and the rows that stress a distance kernel."""
-    data = rng.standard_normal((size, dim))
-    pk = np.repeat(np.arange(size // 4), 4)
-    unbalanced = rng.integers(0, 3, size)
-    unbalanced[:2] = (0, 1)
-    yield "pk", data, pk
-    yield "unbalanced", data, unbalanced
-    yield "singleton", data, np.where(np.arange(size) == size - 1, 3, unbalanced)
-    dup = data.copy()
-    dup[[3, 7, size - 2]] = dup[1]
-    yield "duplicates", dup, pk
-    near = data.copy()
-    near[4] = near[2] + 1e-9 * rng.standard_normal(dim)
-    near[5] = near[2] - 1e-9 * rng.standard_normal(dim)
-    yield "1e-9-apart", near, pk
-    # squared norms of 1e320 overflow, so the Gram form cannot take the batch;
-    # the explicit form is finite between the two huge rows, inf from them to the rest
-    huge = data.copy()
-    huge[0] *= 1e160 / np.linalg.norm(huge[0])
-    huge[1] = huge[0] * (1.0 + 1e-9)
-    yield "norm-1e160", huge, pk
-    nan = data.copy()
-    nan[2, 0] = np.nan
-    yield "nan-row", nan, pk
-
-
-def _loop_dist(data):
-    """Per-pair loop oracle: the square root of each pair's sum of squared differences."""
-    size = len(data)
-    out = np.empty((size, size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(size):
-            for j in range(size):
-                diff = data[i] - data[j]
-                out[i, j] = np.sqrt(np.sum(diff * diff))
-    return out
-
-
 class TestEuclideanDist:
-    """The one Euclidean distance kernel: ``BatchGeometry.dist``, explicit
-    differences below ``_DIST_GRAM_MIN_ROWS`` rows and the Gram form from there,
-    checked against the per-pair loop oracle."""
+    """The one Euclidean distance kernel, ``core._pairwise_dist``, as the hinge
+    losses read it through ``BatchGeometry.dist``; its Gram form is forced both
+    ways against the per-pair loop oracle in ``test_fast_paths.py``."""
 
     def test_identical_points(self):
         """Distance of a point to itself, or to an equal row, is exactly zero."""
@@ -100,42 +59,6 @@ class TestEuclideanDist:
         rng = np.random.default_rng(11)
         D = _dist(*rng.standard_normal((12, 5)))
         assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + 1e-9)
-
-    @pytest.mark.parametrize("dim", [3, 16])
-    @pytest.mark.parametrize("size", [16, 31, 32, 72])
-    def test_against_the_loop_oracle(self, size, dim):
-        """Both sides of _DIST_GRAM_MIN_ROWS: exactly symmetric, a zero diagonal,
-        non-finite exactly where the oracle is, close pairs with the explicit
-        form's bits, every other entry within rho (D + 2) eps_mach in d^2."""
-        rng = np.random.default_rng(100 * size + dim)
-        rho, eps = losses._DIST_RECOMPUTE_RATIO, np.finfo(np.float64).eps
-        for name, data, labels in _dist_layouts(size, dim, rng):
-            dist = BatchGeometry(_unchecked_batch(data, labels)).dist
-            explicit = losses._explicit_dist(data)
-            oracle = _loop_dist(data)
-            assert np.array_equal(dist, dist.T, equal_nan=True), name
-            finite = np.isfinite(oracle)
-            assert np.array_equal(np.isfinite(dist), finite), name
-            rows_ok = np.all(np.isfinite(data), axis=1)
-            assert np.all(np.diag(dist)[rows_ok] == 0.0), name
-            if size < losses._DIST_GRAM_MIN_ROWS:
-                assert dist.tobytes() == explicit.tobytes(), name
-                continue
-            # close with a factor 2 to spare, so the rounded Gram test surely caught them
-            with np.errstate(over="ignore", invalid="ignore"):
-                norms = np.sum(data * data, axis=1)
-                close = finite & (oracle ** 2 <= (norms[:, None] + norms) / (2.0 * rho))
-            assert dist[close].tobytes() == explicit[close].tobytes(), name
-            # the stated bound, plus the oracle's own rounding and the square root's
-            d2, o2 = dist[finite] ** 2, oracle[finite] ** 2
-            assert np.all(np.abs(d2 - o2) <= (rho * (dim + 2) + dim + 4) * eps * o2), name
-
-    def test_the_gram_form_runs_and_moves_bits(self):
-        """At 72 rows of 16 dims the Gram form leaves some far pairs off the explicit
-        form's bits, so the oracle test checks Gram entries, not only recomputed ones."""
-        data = np.random.default_rng(5).standard_normal((72, 16))
-        dist = BatchGeometry(EmbeddingBatch(data, np.arange(72) % 4)).dist
-        assert np.mean(dist != losses._explicit_dist(data)) > 0.1
 
 
 class TestEmbeddingBatch:

@@ -21,6 +21,7 @@ from metriclab import (
     uniformity,
     variance_ratio,
 )
+from metriclab import core
 from metriclab.errors import DegenerateVectorError, NonFiniteError
 
 
@@ -198,14 +199,21 @@ class TestVarianceRatio:
         stats = variance_ratio(emb, labels)
         assert stats.inter_intra_ratio > 100
 
-    def test_matches_brute_force(self):
+    @pytest.mark.parametrize("size", [25, 48], ids=["explicit", "gram"])
+    def test_matches_brute_force(self, size):
+        """Both sides of the distance kernel's Gram crossover, against a per-pair
+        loop.  Class 4's three members coincide: their distances stay exact
+        zeros, so the class is reported degenerate."""
+        assert (size >= core._DIST_GRAM_MIN_ROWS) == (size == 48)
         rng = np.random.default_rng(222)
-        emb = rng.standard_normal((25, 3))
-        labels = rng.integers(0, 4, 25)
+        emb = rng.standard_normal((size, 3))
+        labels = rng.integers(0, 4, size)
+        labels[-3:], emb[-3:] = 4, emb[0] + 0.5
         stats = variance_ratio(emb, labels)
+        assert stats.degenerate_classes == (4,)
         intra, inter = [], []
-        for i in range(25):
-            for j in range(i + 1, 25):
+        for i in range(size):
+            for j in range(i + 1, size):
                 dist = np.linalg.norm(emb[i] - emb[j])
                 (intra if labels[i] == labels[j] else inter).append(dist)
         np.testing.assert_allclose(stats.intra_class_dist, np.mean(intra), atol=1e-12)

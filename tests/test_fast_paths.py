@@ -1,0 +1,325 @@
+"""The loss layer's fast paths: one table row each, forced both ways over one layout generator.
+
+A row of ``PATHS`` names the module constant or function that selects a fast
+path, a value that forces the fast path on every layout and one that forces
+the reference path it stands in for, where the default takes the fast path,
+and the path's promise: bit-identical counts and gradients, or values within
+the bound the code states.  Every row runs over every layout of ``LAYOUTS``,
+sizes on both sides of every crossover, and on each the forced fast run keeps
+the promise against the forced reference run; the default run is the
+reference run bit for bit short of the crossover and keeps the promise past
+it; and, on the label layouts the row names, the default run agrees with the
+loop oracles of ``loop_oracles.py``; one test case per row and labelling, so
+a failure names both.  Across all layouts, a second test per row checks that
+past the crossover every call leaves the reference run's bits on some
+layout, so no promise holds vacuously.  The three runs of a row on a layout
+are computed once and shared by both tests.
+"""
+
+import functools
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from metriclab import ClassifierHead, LossConfig, core, losses
+from metriclab.batching import anchor_layout
+from metriclab.core import _unchecked_batch
+from metriclab.errors import NonFiniteError
+from metriclab.losses import REDUCTIONS
+
+from loop_oracles import brute_loss, central_differences, hinge_args, loop_dist
+
+EPS = np.finfo(np.float64).eps
+
+
+@dataclass(frozen=True, eq=False)  # hashed by identity, so oracle values can be cached
+class Layout:
+    labelling: str
+    kind: str
+    labels: np.ndarray
+    data: np.ndarray
+
+
+# (labelling, labels, dim): 8, 16, 31, 32 and 72 rows around the Gram form's 32;
+# P = 7 and 8 positive slots per anchor around the sorted hinge's 8; simce grids
+# of one anchor block (up to (72, 7, 64)), of two, and of 29 at (16, 16)
+_LABELS = [
+    ("pk-2x4", np.repeat(np.arange(2), 4), 3),
+    ("pk-4x4", np.repeat(np.arange(4), 4), 3),
+    ("pk-2x8", np.repeat(np.arange(2), 8), 16),
+    ("singleton-31", np.random.default_rng(61).permutation(np.repeat(np.arange(5), [9, 8, 7, 6, 1])), 3),
+    ("pk-4x8", np.repeat(np.arange(4), 8), 16),
+    ("no-pair-32", np.arange(32), 4),
+    ("pk-9x8", np.repeat(np.arange(9), 8), 16),
+    ("pk-8x9", np.repeat(np.arange(8), 9), 3),
+    ("pk-16x16", np.repeat(np.arange(16), 16), 16),
+]
+_KINDS = ("gauss", "ties", "close", "norm-1e160", "overflow-1e200", "nan", "offset-30", "span-900")
+_WIDE_KINDS = ("gauss", "overflow-1e200", "nan")  # (16, 16) runs path against path only
+
+
+def _rows(kind, size, dim, rng):
+    data = rng.standard_normal((size, dim))
+    if kind == "ties":  # distances are roots of integers: hinge arguments tie at margins 0 and 1
+        data = rng.integers(1, 4, (size, dim)) * 1.0
+    elif kind == "close":
+        data[[3, 7, size - 2]] = data[1]
+        data[4], data[5] = data[2] + 1e-9 * rng.standard_normal((2, dim))
+    elif kind == "norm-1e160":
+        # squared norms overflow, so the Gram form cannot take the batch; the
+        # explicit form is finite between the two huge rows, inf from them to the rest
+        data[0] *= 1e160 / np.linalg.norm(data[0])
+        data[1] = data[0] * (1.0 + 1e-9)
+    elif kind == "overflow-1e200":
+        data[size // 2] *= 1e200
+    elif kind == "nan":
+        data[2, 0] = np.nan
+    elif kind == "offset-30":  # raw scores near 900, a few tens apart: only simce's shift saves them
+        data = 30.0 * np.eye(dim)[0] + 0.2 * data
+    elif kind == "span-900":  # raw scores span +-900, past simce's factoring range at T <= 2.5
+        data[:4] = 30.0 * np.eye(dim)[[0, 0, 1, 2]] * [[1.0], [-1.0], [1.0], [-1.0]]
+    return data
+
+
+_rng = np.random.default_rng(63)
+LAYOUTS = [Layout(name, kind, labels, _rows(kind, labels.size, dim, _rng))
+           for name, labels, dim in _LABELS for kind in (_WIDE_KINDS if labels.size > 72 else _KINDS)]
+
+
+# ---------------------------------------------------------------------------
+# kernels: a layout -> {call: output}, a loss output being its LossResult or
+# the message of the NonFiniteError it raised
+
+
+_HINGE_CALLS = {
+    f"{name}{'-detached' if detach else ''}-m{margin}-{reduction}":
+        (name, LossConfig(margin=margin, reduction=reduction, detach_similarity=detach))
+    for name, detach in (("triplet", False), ("s_triplet", False), ("s_triplet", True))
+    for margin in (0.0, 0.3, 1.0) for reduction in REDUCTIONS
+} | {variant: (variant, LossConfig()) for variant in ("combined_simce", "combined_m_simce")}
+_SIMCE_CALLS = {
+    f"{'cosine' if normalize else 'raw'}-T{temperature}":
+        ("simce", LossConfig(temperature=temperature, normalize_for_simce=normalize))
+    for normalize in (False, True) for temperature in (0.05, 0.7, 1.0, 3.0)
+}
+# (16, 16) runs the reference runs' hinges, the combined losses and one temperature
+_WIDE_CALLS = {"triplet-m0.3-mean_over_nonzero", "s_triplet-m0.3-mean_over_nonzero",
+               "s_triplet-detached-m0.3-mean_over_nonzero", "combined_simce", "combined_m_simce",
+               "raw-T0.7", "cosine-T0.7"}
+
+
+def _losses(calls):
+    def kernel(layout):
+        batch = _unchecked_batch(layout.data, layout.labels)
+        head = ClassifierHead.init(np.random.default_rng(0), int(layout.labels.max()) + 1,
+                                   layout.data.shape[1])
+        out = {}
+        for key, (name, cfg) in calls.items():
+            if layout.labels.size <= 72 or key in _WIDE_CALLS:
+                with np.errstate(all="ignore"):
+                    try:
+                        out[key] = losses.LOSSES[name](batch, cfg, head)
+                    except NonFiniteError as exc:
+                        out[key] = str(exc)
+        return out
+    return kernel
+
+
+def _bits(out):
+    if isinstance(out, losses.LossResult):
+        return np.float64(out.value).tobytes(), out.grad.tobytes(), out.n_non, out.n_total
+    return out.tobytes() if isinstance(out, np.ndarray) else out  # distances, or an error message
+
+
+# ---------------------------------------------------------------------------
+# promises, (fast, slow, layout) -> None, called when neither run raised
+
+
+def _gram_bound(fast, slow, layout):
+    """Close pairs, d^2 <= (n_i + n_j) / (2 rho), carry the explicit form's bits;
+    every finite entry is within rho (D + 2) eps_mach of its d^2, plus (D + 4)
+    eps_mach for the explicit form's and the square root's rounding; an entry
+    is finite exactly where the explicit form's is."""
+    data, dim, rho = layout.data, layout.data.shape[1], core._DIST_RECOMPUTE_RATIO
+    finite = np.isfinite(slow)
+    assert np.array_equal(np.isfinite(fast), finite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sum(data * data, axis=1)
+        close = finite & (slow ** 2 <= (norms[:, None] + norms) / (2.0 * rho))
+    assert fast[close].tobytes() == slow[close].tobytes()
+    d2, s2 = fast[finite] ** 2, slow[finite] ** 2
+    assert np.all(np.abs(d2 - s2) <= (rho * (dim + 2) + dim + 4) * EPS * s2)
+
+
+def _same_counts_and_gradient_bits(value_rtol):
+    """Counts and gradients bit-identical, the value within value_rtol: 1e-12 for
+    the hinge's two sums, 1e-13 for simce's total summed block by block."""
+    def promise(fast, slow, layout):
+        assert (fast.n_non, fast.n_total) == (slow.n_non, slow.n_total)
+        assert fast.grad.tobytes() == slow.grad.tobytes()
+        np.testing.assert_allclose(fast.value, slow.value, rtol=value_rtol, atol=0.0)
+    return promise
+
+
+def _within_1e13(fast, slow, layout):
+    """Value and gradient within 1e-13 of the exp(-|z|) form."""
+    assert fast.n_total == slow.n_total
+    np.testing.assert_allclose(fast.value, slow.value, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(fast.grad, slow.grad, rtol=0.0, atol=1e-13 * np.abs(slow.grad).max())
+
+
+# ---------------------------------------------------------------------------
+# loop oracles, (default output, layout, call) -> None, run on finite rows
+# (the distances on every row)
+
+
+def _dist_oracle(dist, layout, call):
+    """Exactly symmetric, a zero diagonal on finite rows, non-finite exactly
+    where the per-pair loop is, and within the Gram bound of its d^2."""
+    data, dim, rho = layout.data, layout.data.shape[1], core._DIST_RECOMPUTE_RATIO
+    oracle = loop_dist(data)
+    finite = np.isfinite(oracle)
+    assert np.array_equal(dist, dist.T, equal_nan=True)
+    assert np.array_equal(np.isfinite(dist), finite)
+    assert np.all(np.diag(dist)[np.all(np.isfinite(data), axis=1)] == 0.0)
+    d2, o2 = dist[finite] ** 2, oracle[finite] ** 2
+    assert np.all(np.abs(d2 - o2) <= (rho * (dim + 2) + dim + 4) * EPS * o2)
+
+
+@functools.cache
+def _oracle_hinge_args(layout, margin, weighted):
+    return hinge_args(layout.data, layout.labels, LossConfig(margin=margin), weighted)
+
+
+def _hinge_oracle(result, layout, call):
+    name, cfg = _HINGE_CALLS[call]
+    if name.startswith("combined"):
+        return
+    args = _oracle_hinge_args(layout, cfg.margin, name == "s_triplet")
+    assert result.n_total == args.size
+    # at an exact tie, whether the weighted argument rounds to 0 or to +-1 ulp
+    # depends on how its cosine was computed, so n_non is the oracle's for the
+    # plain hinge only; the hinge sum is continuous there
+    if name == "triplet":
+        assert result.n_non == np.count_nonzero(args > 0.0)
+    denom = result.n_non if cfg.reduction == "mean_over_nonzero" else args.size
+    assert abs(result.value - np.maximum(args, 0.0).sum() / max(denom, 1)) <= 1e-12
+
+
+def _simce_oracle(result, layout, call):
+    """Value within 1e-12 of the per-triplet loop; on 8 rows the gradient within
+    1e-6 of the loop's central differences too."""
+    cfg, labels, data = _SIMCE_CALLS[call][1], layout.labels, layout.data
+    value, _, n_total = brute_loss("simce", data, labels, cfg)
+    assert result.n_total == n_total
+    np.testing.assert_allclose(result.value, value, rtol=1e-12, atol=1e-12)
+    if labels.size <= 8:
+        numeric = central_differences(lambda d: brute_loss("simce", d, labels, cfg)[0], data)
+        scale = max(1.0, float(np.abs(numeric).max()))
+        np.testing.assert_allclose(result.grad, numeric, rtol=0.0, atol=1e-6 * scale)
+
+
+# ---------------------------------------------------------------------------
+# the table
+
+
+def _factored(layout, call):
+    """Whether the layout has triplets and simce's scores span at most
+    _SIMCE_FACTOR_SPAN temperatures: where its factors stay in range."""
+    cfg, X = _SIMCE_CALLS[call][1], layout.data
+    with np.errstate(all="ignore"):
+        X = X / np.linalg.norm(X, axis=1, keepdims=True) if cfg.normalize_for_simce else X
+        scores = X @ X.T
+        span = (scores.max() - scores.min()) / cfg.temperature
+    return anchor_layout(layout.labels).n_triplets > 0 and span <= losses._SIMCE_FACTOR_SPAN
+
+
+@dataclass(frozen=True)
+class FastPath:
+    owner: object          # the module holding the switch
+    switch: str            # the constant or function that selects the path
+    fast: object           # forces the fast path on every layout (None: the default does)
+    slow: object           # forces the reference path on every layout
+    kernel: Callable       # layout -> {call: output}
+    taken: Callable        # (layout, call) -> whether the default takes the fast path
+    promise: Callable      # (fast, slow, layout) -> None
+    oracle: Callable       # (default, layout, call) -> None
+    oracle_labellings: tuple  # the labellings just past the crossover
+
+
+PATHS = {
+    "gram-dist": FastPath(
+        core, "_DIST_GRAM_MIN_ROWS", 1, 10**9, lambda layout: {"dist": core._pairwise_dist(layout.data)},
+        lambda layout, call: layout.labels.size >= core._DIST_GRAM_MIN_ROWS,
+        _gram_bound, _dist_oracle, ("pk-4x8", "no-pair-32", "pk-9x8", "pk-8x9")),
+    "sorted-hinge": FastPath(
+        losses, "_HINGE_SORT_MIN_P", 1, 10**9, _losses(_HINGE_CALLS),
+        lambda layout, call: anchor_layout(layout.labels).pos_idx.shape[1] >= losses._HINGE_SORT_MIN_P,
+        _same_counts_and_gradient_bits(1e-12), _hinge_oracle, ("singleton-31",)),
+    "factored-simce": FastPath(
+        losses, "_simce_factors", None, lambda *args: None, _losses(_SIMCE_CALLS), _factored,
+        _within_1e13, _simce_oracle, ("pk-2x4", "pk-4x4")),
+    "blocked-simce": FastPath(
+        losses, "_SIMCE_BLOCK_ELEMS", 1, 2**62, _losses(_SIMCE_CALLS),
+        lambda layout, call: (_factored(layout, call) and
+                              anchor_layout(layout.labels).grid.size > losses._SIMCE_BLOCK_ELEMS),
+        _same_counts_and_gradient_bits(1e-13), _simce_oracle, ("pk-8x9",)),
+}
+
+
+@functools.cache
+def _runs(name, layout):
+    """{call: (forced fast, forced reference, default output)} of the row's kernel on the layout."""
+    path = PATHS[name]
+    runs = []
+    for value in (path.fast, path.slow, None):
+        with pytest.MonkeyPatch.context() as patched:
+            if value is not None:
+                patched.setattr(path.owner, path.switch, value)
+            runs.append(path.kernel(layout))
+    return {call: tuple(run[call] for run in runs) for call in runs[2]}
+
+
+@pytest.mark.parametrize("labelling", [labelling for labelling, _, _ in _LABELS])
+@pytest.mark.parametrize("name", PATHS)
+def test_fast_path_forced_both_ways(name, labelling):
+    path = PATHS[name]
+    for layout in (layout for layout in LAYOUTS if layout.labelling == labelling):
+        with np.errstate(over="ignore"):
+            finite = bool(np.all(np.isfinite(np.sum(layout.data ** 2, axis=1))))
+        oracle_here = labelling in path.oracle_labellings and (finite or name == "gram-dist")
+        for call, (fast, slow, default) in _runs(name, layout).items():
+            taken = path.taken(layout, call)
+            try:
+                for run in (fast, default) if taken else (fast,):
+                    if isinstance(run, str) or isinstance(slow, str):
+                        assert run == slow
+                    else:
+                        path.promise(run, slow, layout)
+                if not taken:
+                    assert _bits(default) == _bits(slow), "the default left the reference path"
+                if oracle_here:
+                    path.oracle(default, layout, call)
+            except AssertionError as exc:
+                raise AssertionError(f"{name} on {labelling}-{layout.kind}, {call}: {exc}") from exc
+
+
+@pytest.mark.parametrize("name", PATHS)
+def test_fast_path_straddles_its_crossover_and_moves_bits(name):
+    """The layouts fall on both sides of the row's crossover, and every call the
+    default sends down the fast path leaves the reference run's bits on some
+    layout, so no promise of the table holds vacuously."""
+    path = PATHS[name]
+    sides, taken_calls, moved_calls = set(), set(), set()
+    for layout in LAYOUTS:
+        for call, (fast, slow, default) in _runs(name, layout).items():
+            taken = path.taken(layout, call)
+            sides.add(taken)
+            if taken:
+                taken_calls.add(call)
+                if _bits(default) != _bits(slow):
+                    moved_calls.add(call)
+    assert sides == {False, True}, f"{name}: the layouts do not straddle its crossover"
+    assert taken_calls == moved_calls, f"{name}: never off the reference bits on {taken_calls - moved_calls}"

@@ -2,12 +2,12 @@
 cross-entropy over similarities, classifier cross-entropy, and their sums.
 
 Every loss value is checked against a brute-force per-triplet (or per-pair)
-recomputation written independently in this file, and every gradient against
-central finite differences.  Hand-computed constants are stated in the
-docstrings of the tests that freeze them.
+recomputation, the loop oracles of ``loop_oracles.py``, and every gradient
+against central finite differences.  The fast paths of the pair losses are
+forced both ways in ``test_fast_paths.py``.  Hand-computed constants are
+stated in the docstrings of the tests that freeze them.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -24,96 +24,38 @@ from metriclab import (
     batch_gradcheck,
     ce_loss,
     combined_loss,
-    losses,
     m_simce_loss,
-    reference_train_config,
     s_triplet_loss,
     sample_gradcheck_batch,
     simce_loss,
-    train,
     triplet_loss,
     weight_from_sim,
 )
-from metriclab.core import _unchecked_batch
 from metriclab.errors import InvalidConfigError, InvalidLabelError, NoNegativesError, NonFiniteError
 from metriclab.losses import COMBINED_VARIANTS, REDUCTIONS
 
+from loop_oracles import (
+    brute_loss,
+    brute_triplets,
+    central_differences,
+    cosine,
+    hinge_args,
+    m_simce_terms,
+    reduce_terms,
+    simce_terms,
+)
+
 
 # ---------------------------------------------------------------------------
-# brute-force reference implementations (independent of the library's
-# vectorized paths and of its enumeration: plain loops over the labels)
-
-
-def _brute_triplets(labels):
-    """Every (a, p, n) with a != p, label(p) == label(a) != label(n), lexicographically."""
-    size = len(labels)
-    return [(a, p, n) for a in range(size) for p in range(size) for n in range(size)
-            if a != p and labels[a] == labels[p] and labels[n] != labels[a]]
-
-
-def _brute_pairs(labels):
-    """Every ordered same-class (a, p) with the rows of other labels as negatives."""
-    size = len(labels)
-    return [(a, p, [n for n in range(size) if labels[n] != labels[a]])
-            for a in range(size) for p in range(size) if a != p and labels[a] == labels[p]]
-
-
-def _cosine(x, y):
-    """Cosine of the angle between two nonzero rows, clipped to [-1, 1] as the losses clip it."""
-    return float(np.clip(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)), -1.0, 1.0))
-
-
-def _hinge_args(data, labels, cfg, weighted=False, weights_from=None):
-    """margin + w_ap d(a, p) - w_an d(a, n) per triplet, before the relu.
-
-    Unweighted, w == 1.  Weighted, w = (1 - cos) / 2 of the pair, read from
-    ``weights_from`` when given (weights frozen there) and from ``data``
-    otherwise.
-    """
-    wdata = data if weights_from is None else weights_from
-    args = []
-    for a, p, n in _brute_triplets(labels):
-        w_ap = weight_from_sim(_cosine(wdata[a], wdata[p])) if weighted else 1.0
-        w_an = weight_from_sim(_cosine(wdata[a], wdata[n])) if weighted else 1.0
-        d_ap = np.linalg.norm(data[a] - data[p])
-        d_an = np.linalg.norm(data[a] - data[n])
-        args.append(cfg.margin + w_ap * d_ap - w_an * d_an)
-    return np.array(args)
+# brute-force reference implementations beside loop_oracles.py
 
 
 def _plain_hinge_terms(data, labels, cfg):
-    return np.maximum(_hinge_args(data, labels, cfg), 0.0)
+    return np.maximum(hinge_args(data, labels, cfg), 0.0)
 
 
 def _weighted_hinge_terms(data, labels, cfg):
-    return np.maximum(_hinge_args(data, labels, cfg, weighted=True), 0.0)
-
-
-def _reduce(terms, cfg):
-    if cfg.reduction == "mean_over_all":
-        return float(np.mean(terms)) if len(terms) else 0.0
-    active = terms[terms > 0.0]
-    return float(np.mean(active)) if len(active) else 0.0
-
-
-def _simce_terms(data, labels, cfg):
-    rows = data / np.linalg.norm(data, axis=1, keepdims=True) if cfg.normalize_for_simce else data
-    terms = []
-    for a, p, n in _brute_triplets(labels):
-        z = (rows[a] @ rows[n] - rows[a] @ rows[p]) / cfg.temperature
-        terms.append(np.logaddexp(0.0, z))
-    return np.array(terms)
-
-
-def _m_simce_terms(data, labels, cfg):
-    rows = data / np.linalg.norm(data, axis=1, keepdims=True) if cfg.normalize_for_simce else data
-    terms = []
-    for a, p, negs in _brute_pairs(labels):
-        sp = rows[a] @ rows[p] / cfg.temperature
-        sn = np.array([rows[a] @ rows[k] / cfg.temperature for k in negs])
-        m = max(sp, sn.max())
-        terms.append(-(sp - m) + np.log(np.exp(sp - m) + np.sum(np.exp(sn - m))))
-    return np.array(terms)
+    return np.maximum(hinge_args(data, labels, cfg, weighted=True), 0.0)
 
 
 def _ce_value(data, labels, head):
@@ -187,7 +129,7 @@ class TestTripletLoss:
                 cfg = LossConfig(margin=0.3, reduction=reduction)
                 result = triplet_loss(batch, cfg)
                 terms = _plain_hinge_terms(batch.data, batch.labels, cfg)
-                np.testing.assert_allclose(result.value, _reduce(terms, cfg), atol=1e-12)
+                np.testing.assert_allclose(result.value, reduce_terms(terms, cfg), atol=1e-12)
                 assert result.n_non == int(np.sum(terms > 0))
                 assert result.n_total == len(terms)
 
@@ -242,13 +184,13 @@ class TestSTripletLoss:
         data = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         batch = EmbeddingBatch(data, np.array([0, 0, 1]))
         cfg = LossConfig(margin=0.2)
-        w_an = weight_from_sim(_cosine(data[0], data[2]))
+        w_an = weight_from_sim(cosine(data[0], data[2]))
         d_an = np.linalg.norm(data[0] - data[2])
         expected_first = max(0.0, cfg.margin - w_an * d_an)
         terms = _weighted_hinge_terms(data, batch.labels, cfg)
         np.testing.assert_allclose(terms[0], expected_first, atol=1e-12)
         result = s_triplet_loss(batch, cfg)
-        np.testing.assert_allclose(result.value, _reduce(terms, cfg), atol=1e-12)
+        np.testing.assert_allclose(result.value, reduce_terms(terms, cfg), atol=1e-12)
 
     def test_matches_brute_force_on_random_batches(self):
         rng = np.random.default_rng(45)
@@ -258,7 +200,7 @@ class TestSTripletLoss:
                 cfg = LossConfig(margin=0.5, reduction=reduction)
                 result = s_triplet_loss(batch, cfg)
                 terms = _weighted_hinge_terms(batch.data, batch.labels, cfg)
-                np.testing.assert_allclose(result.value, _reduce(terms, cfg), atol=1e-12)
+                np.testing.assert_allclose(result.value, reduce_terms(terms, cfg), atol=1e-12)
                 assert result.n_non == int(np.sum(terms > 0))
 
     def test_weight_monotonicity_in_similarity(self):
@@ -288,10 +230,10 @@ class TestSTripletLoss:
         batch = sample_gradcheck_batch(rng, 2, 2, 6, cfg)
         base = batch.data
         labels = batch.labels
-        triplets = _brute_triplets(labels)
+        triplets = brute_triplets(labels)
         frozen_w = [
-            (weight_from_sim(_cosine(base[a], base[p])),
-             weight_from_sim(_cosine(base[a], base[n])))
+            (weight_from_sim(cosine(base[a], base[p])),
+             weight_from_sim(cosine(base[a], base[n])))
             for a, p, n in triplets
         ]
 
@@ -301,7 +243,7 @@ class TestSTripletLoss:
                 d_ap = np.linalg.norm(data[a] - data[p])
                 d_an = np.linalg.norm(data[a] - data[n])
                 terms.append(max(0.0, cfg.margin + w_ap * d_ap - w_an * d_an))
-            return _reduce(np.array(terms), cfg)
+            return reduce_terms(np.array(terms), cfg)
 
         analytic = s_triplet_loss(batch, cfg).grad
         h = 1e-6
@@ -371,7 +313,7 @@ class TestSimceLoss:
             for _ in range(10):
                 batch = _pk_batch(rng, 3, 2, 4)
                 result = simce_loss(batch, cfg)
-                terms = _simce_terms(batch.data, batch.labels, cfg)
+                terms = simce_terms(batch.data, batch.labels, cfg)
                 np.testing.assert_allclose(result.value, np.mean(terms), atol=1e-12)
                 assert result.n_non == result.n_total == len(terms)
 
@@ -442,7 +384,7 @@ class TestMSimceLoss:
             for _ in range(10):
                 batch = _pk_batch(rng, 2, 3, 4)
                 result = m_simce_loss(batch, cfg)
-                terms = _m_simce_terms(batch.data, batch.labels, cfg)
+                terms = m_simce_terms(batch.data, batch.labels, cfg)
                 np.testing.assert_allclose(result.value, np.mean(terms), atol=1e-12)
                 assert result.n_total == len(terms)
 
@@ -719,25 +661,6 @@ _loss_configs = st.builds(
 )
 
 
-def _brute_loss(name, data, labels, cfg, weights_from=None):
-    """(value, n_non, n_total) of one pair loss from the loop oracles."""
-    if name in ("triplet", "s_triplet"):
-        terms = np.maximum(_hinge_args(data, labels, cfg, name == "s_triplet", weights_from), 0.0)
-        return _reduce(terms, cfg), int(np.sum(terms > 0.0)), len(terms)
-    terms = (_simce_terms if name == "simce" else _m_simce_terms)(data, labels, cfg)
-    return (float(np.mean(terms)) if len(terms) else 0.0), len(terms), len(terms)
-
-
-def _central_differences(fn, data, h=1e-6):
-    grad = np.zeros_like(data)
-    for idx in np.ndindex(*data.shape):
-        up, down = data.copy(), data.copy()
-        up[idx] += h
-        down[idx] -= h
-        grad[idx] = (fn(up) - fn(down)) / (2 * h)
-    return grad
-
-
 @pytest.mark.parametrize("name", sorted(PAIR_LOSSES))
 @PROPERTY_SETTINGS
 @given(drawn=_labelled_data(), cfg=_loss_configs)
@@ -745,16 +668,16 @@ def test_pair_losses_match_loop_oracles_on_arbitrary_layouts(name, drawn, cfg):
     data, labels = drawn
     if name in ("triplet", "s_triplet"):
         # central differences straddle the relu kink within h of zero
-        args = _hinge_args(data, labels, cfg, name == "s_triplet")
+        args = hinge_args(data, labels, cfg, name == "s_triplet")
         assume(np.abs(args).min(initial=1.0) >= 1e-4)
     result = PAIR_LOSSES[name](EmbeddingBatch(data, labels), cfg)
-    value, n_non, n_total = _brute_loss(name, data, labels, cfg)
+    value, n_non, n_total = brute_loss(name, data, labels, cfg)
     np.testing.assert_allclose(result.value, value, rtol=1e-12, atol=1e-12)
     assert (result.n_non, result.n_total) == (n_non, n_total)
 
     # a detached weighted hinge differentiates with its weights held fixed
     frozen = data if name == "s_triplet" and cfg.detach_similarity else None
-    numeric = _central_differences(lambda d: _brute_loss(name, d, labels, cfg, frozen)[0], data)
+    numeric = central_differences(lambda d: brute_loss(name, d, labels, cfg, frozen)[0], data)
     scale = max(1.0, float(np.abs(numeric).max()))
     np.testing.assert_allclose(result.grad, numeric, rtol=0.0, atol=1e-6 * scale)
 
@@ -786,24 +709,6 @@ def test_combined_loss_is_the_bitwise_sum_of_the_public_losses(variant, detach, 
     assert bits(total.head_grad_bias) == bits(ce.head_grad_bias)
 
 
-# ---------------------------------------------------------------------------
-# the factored simce kernel: exp(z) as a product of per-anchor factors, with
-# the exp(-|z|) form as its one fallback (empty layouts and the range guard)
-
-
-def _count_fallbacks(monkeypatch):
-    """Route losses._simce_direct through a counter; returns the list of calls."""
-    calls = []
-    direct = losses._simce_direct
-
-    def counted(*args):
-        calls.append(args)
-        return direct(*args)
-
-    monkeypatch.setattr(losses, "_simce_direct", counted)
-    return calls
-
-
 @pytest.mark.parametrize("temperature", [0.05, 0.7, 3.0])
 @PROPERTY_SETTINGS
 @given(drawn=_labelled_data(), normalize=st.booleans())
@@ -813,253 +718,9 @@ def test_simce_matches_the_loop_oracle_at_every_temperature(temperature, drawn, 
     data, labels = drawn
     cfg = LossConfig(temperature=temperature, normalize_for_simce=normalize)
     result = simce_loss(EmbeddingBatch(data, labels), cfg)
-    value, _, n_total = _brute_loss("simce", data, labels, cfg)
+    value, _, n_total = brute_loss("simce", data, labels, cfg)
     np.testing.assert_allclose(result.value, value, rtol=1e-12, atol=1e-12)
     assert result.n_total == n_total
-    numeric = _central_differences(lambda d: _brute_loss("simce", d, labels, cfg)[0], data)
+    numeric = central_differences(lambda d: brute_loss("simce", d, labels, cfg)[0], data)
     scale = max(1.0, float(np.abs(numeric).max()))
     np.testing.assert_allclose(result.grad, numeric, rtol=0.0, atol=1e-6 * scale)
-
-
-class TestFactoredSimce:
-    def _layouts(self):
-        rng = np.random.default_rng(57)
-        for n_classes, per_class in ((2, 2), (4, 4), (8, 8), (3, 5)):
-            yield np.repeat(np.arange(n_classes), per_class), rng
-        for size in (5, 9, 17, 30):
-            labels = rng.integers(0, 4, size)
-            labels[:2] = (0, 1)  # two classes at least
-            yield labels, rng
-
-    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "cosine"])
-    @pytest.mark.parametrize("temperature", [0.05, 0.7, 1.0, 3.0])
-    def test_agrees_with_the_direct_form(self, normalize, temperature, monkeypatch):
-        """Within 1e-13 of the exp(-|z|) form in value and gradient, PK and
-        unbalanced layouts alike, whenever the factored form runs."""
-        cfg = LossConfig(temperature=temperature, normalize_for_simce=normalize)
-        calls = _count_fallbacks(monkeypatch)
-        factored = []
-        for labels, rng in self._layouts():
-            batch = EmbeddingBatch(rng.standard_normal((labels.size, 8)), labels)
-            before = len(calls)
-            fast = simce_loss(batch, cfg)
-            if len(calls) > before:
-                continue  # the range guard fired: this was the direct form already
-            factored.append(labels.size)
-            with monkeypatch.context() as forced:
-                forced.setattr(losses, "_simce_factors", lambda *args: None)
-                direct = simce_loss(batch, cfg)
-            np.testing.assert_allclose(fast.value, direct.value, rtol=1e-13, atol=0.0)
-            scale = float(np.abs(direct.grad).max())
-            np.testing.assert_allclose(fast.grad, direct.grad, rtol=0.0, atol=1e-13 * scale)
-        assert len(factored) >= 6
-
-    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "cosine"])
-    def test_anchor_blocks_keep_the_gradient_bits(self, normalize, monkeypatch):
-        """A (16, 16) batch and an unbalanced 300-row one, each over 3 or more
-        blocks of anchors: the gradient is the one-block run's bit for bit, and the
-        value, summed block by block, within 1e-13 relative."""
-        rng = np.random.default_rng(60)
-        unbalanced = rng.integers(0, 5, 300)
-        unbalanced[:40] = 0
-        cfg = LossConfig(temperature=0.7, normalize_for_simce=normalize)
-        slab, slabs = losses._simce_slab, []
-
-        def counted(*args):
-            slabs.append(args[0].shape[0])
-            return slab(*args)
-
-        for labels in (np.repeat(np.arange(16), 16), unbalanced):
-            batch = EmbeddingBatch(0.5 * rng.standard_normal((labels.size, 8)), labels)
-            grid = int(losses.anchor_layout(labels).grid[0].size)
-            runs = []
-            # every anchor in one block, then 7 a block, the last one partial
-            for rows in (labels.size, 7):
-                with monkeypatch.context() as patched:
-                    patched.setattr(losses, "_simce_slab", counted)
-                    patched.setattr(losses, "_SIMCE_BLOCK_ELEMS", rows * grid + grid - 1)
-                    slabs.clear()
-                    runs.append((simce_loss(batch, cfg), list(slabs)))
-            (whole, one), (blocked, many) = runs
-            assert one == [labels.size]
-            assert len(many) >= 3 and set(many[:-1]) == {7} and sum(many) == labels.size
-            assert blocked.grad.tobytes() == whole.grad.tobytes()
-            np.testing.assert_allclose(blocked.value, whole.value, rtol=1e-13, atol=0.0)
-
-    def test_range_guard_keeps_raw_scores_near_900_finite(self, monkeypatch):
-        """Rows of norm 30 on opposite and orthogonal axes next to unit-scale rows:
-        scores span about +-900, so the guard hands the batch to the direct form,
-        which matches the loop oracle in value and gradient."""
-        rng = np.random.default_rng(58)
-        data = np.vstack([30.0 * np.eye(3)[[0, 0, 1, 2]] * [[1], [-1], [1], [-1]],
-                          rng.standard_normal((4, 3))])
-        labels = np.array([0, 0, 1, 1, 0, 1, 2, 2])
-        calls = _count_fallbacks(monkeypatch)
-        cfg = LossConfig()
-        result = simce_loss(EmbeddingBatch(data, labels), cfg)
-        assert len(calls) == 1
-        assert np.isfinite(result.value) and np.all(np.isfinite(result.grad))
-        value, _, _ = _brute_loss("simce", data, labels, cfg)
-        np.testing.assert_allclose(result.value, value, rtol=1e-12)
-        numeric = _central_differences(lambda d: _brute_loss("simce", d, labels, cfg)[0], data)
-        np.testing.assert_allclose(result.grad, numeric, rtol=0.0,
-                                   atol=1e-6 * float(np.abs(numeric).max()))
-
-    def test_shift_centres_a_large_common_offset(self, monkeypatch):
-        """Rows near 30 e_0 give raw scores near 900 that differ by a few tens:
-        the guard lets them through, and only the shift keeps the factors finite
-        (unshifted, e^{900} overflows), so the factored form must match the loop
-        oracle."""
-        rng = np.random.default_rng(59)
-        data = 30.0 * np.eye(4)[0] + 0.2 * rng.standard_normal((9, 4))
-        labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 3])
-        calls = _count_fallbacks(monkeypatch)
-        for temperature in (1.0, 3.0):
-            cfg = LossConfig(temperature=temperature)
-            result = simce_loss(EmbeddingBatch(data, labels), cfg)
-            value, _, _ = _brute_loss("simce", data, labels, cfg)
-            np.testing.assert_allclose(result.value, value, rtol=1e-12)
-        assert calls == []
-
-    def test_cosine_scores_at_the_reference_config_never_fall_back(self, monkeypatch):
-        """Cosines span at most 2, far inside the guard at T = 1: a combined_simce
-        run of the reference config makes every simce call through the factors."""
-        calls = _count_fallbacks(monkeypatch)
-        factored = []
-        factors = losses._simce_factors
-
-        def counted(*args):
-            out = factors(*args)
-            factored.append(out is not None)
-            return out
-
-        monkeypatch.setattr(losses, "_simce_factors", counted)
-        train(reference_train_config("combined_simce", total_iters=100, eval_interval=100))
-        assert calls == []
-        assert len(factored) == 100 and all(factored)
-
-
-# ---------------------------------------------------------------------------
-# the sorted hinge: from P = losses._HINGE_SORT_MIN_P positives per anchor on,
-# _hinge counts active triplets with one sort per anchor instead of the
-# (B, P, M) grid; counts and weights must be the grid's bit for bit
-
-
-def _both_hinge_paths(monkeypatch, call):
-    """call() on the sorted path, then again with the grid forced.  Returns each
-    run's result and the (value, lam_p, lam_n, n_non, n_total) its _hinge gave,
-    after checking that only the first run sorted."""
-    outs, sorts = [], []
-    hinge, counts = losses._hinge, losses._hinge_counts
-
-    def recorded_hinge(*args):
-        outs.append(hinge(*args))
-        return outs[-1]
-
-    def recorded_counts(*args):
-        sorts.append(len(outs))
-        return counts(*args)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(losses, "_hinge", recorded_hinge)
-        patched.setattr(losses, "_hinge_counts", recorded_counts)
-        fast = call()
-        patched.setattr(losses, "_HINGE_SORT_MIN_P", 10**9)
-        dense = call()
-    assert len(outs) == 2 and sorts == [0]
-    return (fast, outs[0]), (dense, outs[1])
-
-
-class TestSortedHinge:
-    def _layouts(self):
-        """Layouts past the crossover: a PK batch at P = 8 exactly, an unbalanced
-        one with a singleton class, and integer-coordinate rows, whose distances
-        are square roots of integers, so m + d(a, p) == d(a, n) happens often
-        at margins 0 and 1."""
-        rng = np.random.default_rng(61)
-        yield "pk", np.repeat(np.arange(3), 9), rng.standard_normal((27, 4))
-        labels = rng.integers(0, 3, 30)
-        labels[:10], labels[10] = 0, 3
-        yield "unbalanced", labels, rng.standard_normal((30, 4))
-        yield "integer", np.repeat(np.arange(3), [10, 9, 9]), rng.integers(1, 4, (28, 3)) * 1.0
-
-    @pytest.mark.parametrize("name, detach", [("triplet", False), ("s_triplet", False),
-                                              ("s_triplet", True)],
-                             ids=["triplet", "s_triplet-attached", "s_triplet-detached"])
-    @pytest.mark.parametrize("margin", [0.0, 0.3, 1.0])
-    def test_counts_are_the_grids_and_the_value_the_loop_oracles(self, name, detach, margin,
-                                                                   monkeypatch):
-        bits = lambda x: np.asarray(x, dtype=np.float64).tobytes()  # noqa: E731
-        for layout, labels, data in self._layouts():
-            batch = EmbeddingBatch(data, labels)
-            assert losses.anchor_layout(labels).pos_idx.shape[1] >= losses._HINGE_SORT_MIN_P
-            args = _hinge_args(data, labels, LossConfig(margin=margin), name == "s_triplet")
-            if layout == "integer" and name == "triplet" and margin != 0.3:
-                assert np.count_nonzero(args == 0.0) > 0  # ties reach the kernel
-            for reduction in REDUCTIONS:
-                cfg = LossConfig(margin=margin, reduction=reduction, detach_similarity=detach)
-                (fast, f_hinge), (dense, d_hinge) = _both_hinge_paths(
-                    monkeypatch, lambda: PAIR_LOSSES[name](batch, cfg))
-                assert f_hinge[3:] == d_hinge[3:]  # n_non, n_total
-                assert bits(f_hinge[1]) == bits(d_hinge[1]) and bits(f_hinge[2]) == bits(d_hinge[2])
-                assert bits(fast.grad) == bits(dense.grad)
-                assert fast.n_total == args.size
-                # at an exact tie, whether the weighted argument rounds to 0 or to
-                # +-1 ulp depends on how its cosine was computed, so n_non is the
-                # oracle's for the plain hinge only; the hinge sum is continuous there
-                if name == "triplet":
-                    assert fast.n_non == np.count_nonzero(args > 0.0)
-                denom = fast.n_non if reduction == "mean_over_nonzero" else args.size
-                assert abs(fast.value - np.maximum(args, 0.0).sum() / max(denom, 1)) <= 1e-12
-
-    @pytest.mark.parametrize("row", ["overflowing", "nan"])
-    @pytest.mark.parametrize("name", ["triplet", "s_triplet", "combined_simce", "combined_m_simce"])
-    def test_a_non_finite_row_raises_on_both_paths(self, row, name, monkeypatch):
-        """The grid leaves a NaN hinge argument inactive; the sort keys a NaN
-        threshold like padding, so it does too.  A (16, 16) batch with one row
-        of about 1e200, or one NaN entry (possible on the unchecked step batch
-        training builds), raises the same NonFiniteError on either path."""
-        rng = np.random.default_rng(62)
-        data = rng.standard_normal((256, 16))
-        if row == "nan":
-            data[37, 2] = np.nan
-        else:
-            data[37] *= 1e200
-        batch = _unchecked_batch(data, np.repeat(np.arange(16), 16))
-        head = ClassifierHead.init(rng, 16, 16)
-        errors = []
-
-        def call():
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(NonFiniteError) as caught:
-                    losses.LOSSES[name](batch, LossConfig(), head)
-            errors.append(str(caught.value))
-
-        _both_hinge_paths(monkeypatch, call)
-        assert errors[0] == errors[1]
-
-    @pytest.mark.parametrize("variant", ["triplet_only", "combined_simce"])
-    def test_wide_reference_runs_match_the_grid_bit_for_bit(self, variant, monkeypatch):
-        """(16, 16) batches of the reference config: every step sorts, and the
-        parameters and n_non series are the grid's; the loss series differs by
-        rounding only."""
-        config = dataclasses.replace(
-            reference_train_config(variant, total_iters=20, eval_interval=20),
-            batch=BatchSpec(16, 16))
-        sorts = []
-        counts = losses._hinge_counts
-
-        def counted(*args):
-            sorts.append(1)
-            return counts(*args)
-
-        with monkeypatch.context() as patched:
-            patched.setattr(losses, "_hinge_counts", counted)
-            fast = train(config)
-            assert len(sorts) == 20
-            patched.setattr(losses, "_HINGE_SORT_MIN_P", 10**9)
-            dense = train(config)
-        assert len(sorts) == 20
-        assert fast.params_digest == dense.params_digest
-        np.testing.assert_array_equal(fast.n_non, dense.n_non)
-        np.testing.assert_allclose(fast.losses, dense.losses, rtol=1e-12, atol=0.0)
