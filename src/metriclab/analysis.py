@@ -131,7 +131,9 @@ def simce_trace_closed(a, p, n, temperature: float = 1.0) -> HessianReport:
     def value(v):
         return np.logaddexp(0.0, ((a - v) @ a - a @ p) / temperature)
 
-    numeric = numeric_hessian_trace(value, a - n, h=1e-4)
+    # h = 1e-3: truncation <= h^2 / 12 relative, round-off ~ 4 d eps |f| / h^2 absolute, so a
+    # trace near 2.5e-3 keeps ~1e-5; at h = 1e-4 round-off passed the 1e-3 tolerance (CHANGES.md)
+    numeric = numeric_hessian_trace(value, a - n, h=1e-3)
     return HessianReport(
         numeric_trace=numeric,
         closed_form_trace=closed,
@@ -236,7 +238,7 @@ def sample_gradcheck_batch(rng: np.random.Generator, n_classes: int, samples_per
         weighted = cfg.margin + (w_ap * d_ap)[:, :, None] - (w_an * d_an)[:, None, :]
         grid = geo.layout.grid
         if min(np.abs(plain)[grid].min(), np.abs(weighted)[grid].min()) >= _KINK_GAP:
-            return EmbeddingBatch(X, labels, spec)
+            return EmbeddingBatch(X, labels)
 
 
 def batch_gradcheck(loss_fn, batch: EmbeddingBatch, h: float = 1e-5) -> float:
@@ -251,7 +253,7 @@ def batch_gradcheck(loss_fn, batch: EmbeddingBatch, h: float = 1e-5) -> float:
     shape = batch.data.shape
 
     def value_at(stack):
-        # the base batch's layout is already checked; only finiteness can change
+        # the base batch's labels are already checked; only finiteness can change
         return np.array([loss_fn(EmbeddingBatch(flat.reshape(shape), batch.labels)).value
                          for flat in stack])
 

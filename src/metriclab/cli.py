@@ -90,7 +90,7 @@ class ExperimentConfig:
     dataset: DatasetSpec | None = None
     batch: BatchSpec | None = None
     loss: LossConfig = LossConfig()
-    train: dict = field(default_factory=dict)
+    train: TrainConfig | None = None
     raw_payload: dict = field(default_factory=dict)
 
     @classmethod
@@ -119,17 +119,16 @@ class ExperimentConfig:
             raise InvalidConfigError(f"{path}: seed must be >= 0, got {seed}")
         sections = (("dataset", DatasetSpec), ("batch", BatchSpec), ("loss", LossConfig))
         dataset, batch, loss = (_build_section(c, payload.get(name), name, path) for name, c in sections)
-        loss, train = loss or LossConfig(), payload.get("train", {})
-        # built here only for its checks, so a bad value fails before any command runs
-        _build_section(TrainConfig, train, "train", path, dataset=dataset, batch=batch, loss=loss, seed=seed)
-        return cls(seed=seed, dataset=dataset, batch=batch, loss=loss, train=dict(train or {}),
-                   raw_payload=payload)
+        loss, train = loss or LossConfig(), payload.get("train")
+        # built before any command runs, so a bad value fails first; a null section is empty
+        train = _build_section(TrainConfig, {} if train is None else train, "train", path,
+                               dataset=dataset, batch=batch, loss=loss, seed=seed)
+        return cls(seed=seed, dataset=dataset, batch=batch, loss=loss, train=train, raw_payload=payload)
 
     def train_config(self) -> TrainConfig:
         if self.dataset is None or self.batch is None:
             raise InvalidConfigError("training needs both a 'dataset' and a 'batch' section")
-        return TrainConfig(dataset=self.dataset, batch=self.batch, loss=self.loss,
-                           seed=self.seed, **self.train)
+        return self.train
 
 
 # the JSON value types a field of each declared type takes (a JSON boolean is no number)
@@ -432,7 +431,7 @@ def _export_sim(config, args):
     data = dataset.features[rows]
     if args.model:
         data = model_forward(load_model(args.model), data)
-    batch = EmbeddingBatch(data, dataset.labels[rows], config.batch)
+    batch = EmbeddingBatch(data, dataset.labels[rows])
     return ({"sim.csv": partial(snapshot_sim_matrix, batch, kind=args.kind)},
             f"export-sim: wrote a {batch.size}x{batch.size} {args.kind} matrix")
 

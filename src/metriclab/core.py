@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .batching import BatchSpec
 from .errors import DegenerateVectorError, DimensionMismatchError, NonFiniteError
 
 SIM_KINDS = ("cosine", "cosine_over_max")
@@ -15,17 +14,11 @@ SIM_KINDS = ("cosine", "cosine_over_max")
 
 @dataclass(frozen=True)
 class EmbeddingBatch:
-    """A B x D block of embeddings with one integer class label per row.
-
-    When ``batch_spec`` is given the rows must form a full PK layout:
-    B = N*K with every label occurring exactly K times.  Without a spec any
-    labelled collection of rows is accepted, which keeps small hand-built
-    batches (and non-rectangular evaluation sets) legal.
-    """
+    """A B x D block of finite embeddings with one integer class label per row, in any
+    layout: a training batch's [N, K] PK layout is batching.sample_pk's promise, not this one's."""
 
     data: np.ndarray
     labels: np.ndarray
-    batch_spec: BatchSpec | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -38,17 +31,6 @@ class EmbeddingBatch:
             )
         if not np.all(np.isfinite(data)):
             raise NonFiniteError("embedding batch contains non-finite entries")
-        if self.batch_spec is not None:
-            spec = self.batch_spec
-            if data.shape[0] != spec.batch_size:
-                raise DimensionMismatchError(
-                    f"batch has {data.shape[0]} rows, spec wants {spec.batch_size}"
-                )
-            _, counts = np.unique(labels, return_counts=True)
-            if counts.size != spec.n_classes or not np.all(counts == spec.samples_per_class):
-                raise DimensionMismatchError(
-                    f"labels do not form a [{spec.n_classes}, {spec.samples_per_class}] layout"
-                )
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "labels", labels)
 
@@ -64,7 +46,7 @@ class EmbeddingBatch:
 def _unchecked_batch(data: np.ndarray, labels: np.ndarray, cls=EmbeddingBatch) -> EmbeddingBatch:
     """An EmbeddingBatch of float64 (B, D) data and B int64 labels, built without any check."""
     batch = object.__new__(cls)  # cls bound at import: a wrapper later put on the name is no class
-    batch.__dict__.update(data=data, labels=labels, batch_spec=None)
+    batch.__dict__.update(data=data, labels=labels)
     return batch
 
 
@@ -182,15 +164,19 @@ def similarity_matrix(batch: EmbeddingBatch, kind: str = "cosine") -> SimMatrix:
     return SimMatrix(vals, kind)
 
 
-def write_sim_matrix_csv(sim: SimMatrix, path) -> None:
-    """Write the matrix as ``# kind=<kind> B=<n>`` plus one CSV row per matrix row.
+def _write_csv(path, header: str, row_format: str, rows) -> None:
+    """The package's one CSV rule: ``header``, then ``row_format.format(*row)`` per row, ASCII,
+    newline-terminated, written as the rows come (no whole-table copy).  Float fields take
+    ``{:.17g}``, which a read-back turns into the same bits."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write(header + "\n")
+        f.writelines(row_format.format(*row) + "\n" for row in rows)
 
-    Floats use 17 significant digits, so a read-back reproduces every bit.
-    """
-    lines = [f"# kind={sim.kind} B={sim.size}"]
-    for row in sim.values:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+def write_sim_matrix_csv(sim: SimMatrix, path) -> None:
+    """Write the matrix as ``# kind=<kind> B=<n>`` plus one CSV row per matrix row."""
+    _write_csv(path, f"# kind={sim.kind} B={sim.size}", ",".join(["{:.17g}"] * sim.size),
+               (row.tolist() for row in sim.values))
 
 
 def read_sim_matrix_csv(path) -> SimMatrix:

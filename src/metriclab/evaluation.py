@@ -11,6 +11,7 @@ from .errors import DegenerateConcentrationError, DimensionMismatchError, NonFin
 from .synth import estimate_kappa
 
 METRICS = ("euclidean", "cosine")
+_UNIFORMITY_BLOCK_ROWS = 1024  # rows of the (rows, n) kernel block uniformity holds at a time
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,13 @@ def rank1(split: GalleryProbeSplit) -> float:
     return float(np.mean(split.gallery_labels[nearest] == split.probe_labels))
 
 
-def uniformity(embeddings, t: float = 2.0, block_size: int = 1024) -> float:
+def uniformity(embeddings, t: float = 2.0) -> float:
     """log of the mean Gaussian-kernel value over all ordered pairs i != j.
 
     Rows are L2-normalized first, so the statistic only sees directions.
     More negative means the directions cover the sphere more evenly;
-    an antipodal pair bottoms out at -4t.  Row blocks keep the memory flat
-    for tens of thousands of rows.
+    an antipodal pair bottoms out at -4t.  Blocks of _UNIFORMITY_BLOCK_ROWS
+    rows keep the memory flat for tens of thousands of rows.
     """
     X = np.asarray(embeddings, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -90,8 +91,8 @@ def uniformity(embeddings, t: float = 2.0, block_size: int = 1024) -> float:
     unit = _unit_rows(X)[0]
     n = unit.shape[0]
     total = 0.0
-    for start in range(0, n, block_size):
-        block = unit[start:start + block_size]
+    for start in range(0, n, _UNIFORMITY_BLOCK_ROWS):
+        block = unit[start:start + _UNIFORMITY_BLOCK_ROWS]
         # ||zi - zj||^2 = 2 - 2 <zi, zj> on the sphere
         sq = np.clip(2.0 - 2.0 * (block @ unit.T), 0.0, None)
         total += float(np.exp(-t * sq).sum())
@@ -170,7 +171,7 @@ def snapshot_sim_matrix(batch: EmbeddingBatch, path, kind: str = "cosine"):
     PK-sampled batch lands as contiguous K x K diagonal blocks.
     """
     order = np.argsort(batch.labels, kind="stable")
-    grouped = EmbeddingBatch(batch.data[order], batch.labels[order], batch.batch_spec)
+    grouped = EmbeddingBatch(batch.data[order], batch.labels[order])
     sim = similarity_matrix(grouped, kind)
     try:
         write_sim_matrix_csv(sim, path)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
+from .core import _write_csv
 from .errors import (
     DegenerateConcentrationError,
     DimensionMismatchError,
@@ -261,12 +262,10 @@ def estimate_kappa(samples) -> float:
 
 def write_dataset_csv(dataset: SynthDataset, path) -> None:
     """CSV with header label,subcluster,noise,f0..f{D-1}; floats keep 17 digits."""
-    cols = ",".join(f"f{i}" for i in range(dataset.dim))
-    lines = [f"label,subcluster,noise,{cols}"]
-    for i in range(dataset.n_samples):
-        feats = ",".join(f"{v:.17g}" for v in dataset.features[i])
-        lines.append(f"{dataset.labels[i]},{dataset.subclusters[i]},{int(dataset.noise_flags[i])},{feats}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = zip(dataset.labels.tolist(), dataset.subclusters.tolist(), dataset.noise_flags.tolist(),
+               dataset.features)
+    _write_csv(path, "label,subcluster,noise," + ",".join(f"f{i}" for i in range(dataset.dim)),
+               "{},{},{:d}" + ",{:.17g}" * dataset.dim, ((*ids, *x.tolist()) for *ids, x in rows))
 
 
 def read_dataset_csv(path) -> SynthDataset:

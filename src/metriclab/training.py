@@ -18,7 +18,7 @@ import numpy as np
 
 from . import batching
 from .batching import BatchSpec, pk_index, sample_pk
-from .core import EmbeddingBatch, _unchecked_batch
+from .core import EmbeddingBatch, _unchecked_batch, _write_csv
 from .errors import DimensionMismatchError, DivergenceError, InvalidConfigError, NonFiniteError
 from .evaluation import METRICS, GalleryProbeSplit, GeometryReport, build_geometry_report, rank1
 from .losses import LOSSES, ClassifierHead, LossConfig
@@ -244,10 +244,7 @@ class TrainConfig:
             )
         if self.uniformity_t <= 0.0:
             raise InvalidConfigError(f"uniformity_t must be > 0, got {self.uniformity_t}")
-        if self.lr0 <= 0.0 or self.lr_min < 0.0 or self.lr_min > self.lr0:
-            raise InvalidConfigError(
-                f"need 0 <= lr_min <= lr0 and lr0 > 0, got lr0={self.lr0} lr_min={self.lr_min}"
-            )
+        cosine_lr(0, 1, self.lr0, self.lr_min)  # the schedule's and the optimizer's own rules
         OptimState(momentum=self.momentum, weight_decay=self.weight_decay)
 
 
@@ -316,21 +313,13 @@ class TrainReport:
             raise ValueError("a run must evaluate at least once")
 
     def write_curves_csv(self, path) -> None:
-        lines = ["iter,loss,lr,n_non"]
-        for i in range(len(self.iters)):
-            lines.append(
-                f"{int(self.iters[i])},{self.losses[i]:.17g},{self.lrs[i]:.17g},{int(self.n_non[i])}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        _write_csv(path, "iter,loss,lr,n_non", "{},{:.17g},{:.17g},{}",
+                   zip(*(s.tolist() for s in (self.iters, self.losses, self.lrs, self.n_non))))
 
     def write_eval_csv(self, path) -> None:
-        lines = ["iter,rank1,uniformity,kappa_hat,inter_intra"]
-        for i in range(len(self.eval_iters)):
-            lines.append(
-                f"{int(self.eval_iters[i])},{self.rank1[i]:.17g},{self.uniformity[i]:.17g},"
-                f"{self.kappa_hat[i]:.17g},{self.inter_intra[i]:.17g}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        series = (self.eval_iters, self.rank1, self.uniformity, self.kappa_hat, self.inter_intra)
+        _write_csv(path, "iter,rank1,uniformity,kappa_hat,inter_intra",
+                   "{}" + ",{:.17g}" * 4, zip(*(s.tolist() for s in series)))
 
 
 def holdout_split(labels, fraction: float, rng: np.random.Generator):
@@ -438,7 +427,7 @@ def run_training(config: TrainConfig, snapshot_iters=()):
     def maybe_snapshot(iteration: int):
         if iteration in snap_set:
             emb = model_forward(model, dataset.features[snap_rows])
-            snapshots[iteration] = EmbeddingBatch(emb, dataset.labels[snap_rows], config.batch)
+            snapshots[iteration] = EmbeddingBatch(emb, dataset.labels[snap_rows])
 
     record_eval(0)
     maybe_snapshot(0)
@@ -481,27 +470,17 @@ def train(config: TrainConfig) -> TrainReport:
 
 
 def save_model(model: ModelParams, path) -> None:
-    """Model parameters as JSON; float repr keeps every bit."""
-    payload = {
-        "embed_weight": model.embed_weight.tolist(),
-        "embed_bias": model.embed_bias.tolist(),
-        "head_weight": model.head.weight.tolist(),
-        "head_bias": model.head.bias.tolist(),
-        "hidden_weight": model.hidden_weight.tolist() if model.hidden_weight is not None else None,
-        "hidden_bias": model.hidden_bias.tolist() if model.hidden_bias is not None else None,
-    }
+    """The param_dict arrays as JSON, a missing hidden layer as nulls; float repr keeps every bit."""
+    payload = {"hidden_weight": None, "hidden_bias": None}
+    payload.update((name, arr.tolist()) for name, arr in model.param_dict().items())
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="ascii")
 
 
 def load_model(path) -> ModelParams:
+    """The model save_model wrote; a null or absent hidden layer reads as none, any other name is refused."""
     payload = json.loads(Path(path).read_text(encoding="ascii"))
-    head = ClassifierHead(np.array(payload["head_weight"]), np.array(payload["head_bias"]))
-    hidden_w = payload.get("hidden_weight")
-    hidden_b = payload.get("hidden_bias")
-    return ModelParams(
-        np.array(payload["embed_weight"]),
-        np.array(payload["embed_bias"]),
-        head,
-        None if hidden_w is None else np.array(hidden_w),
-        None if hidden_b is None else np.array(hidden_b),
-    )
+    arrays = {name: None if value is None else np.array(value) for name, value in payload.items()}
+    try:
+        return ModelParams(head=ClassifierHead(arrays.pop("head_weight"), arrays.pop("head_bias")), **arrays)
+    except (KeyError, TypeError) as exc:  # a missing array, or a name ModelParams does not take
+        raise InvalidConfigError(f"{path} is not a saved model: {exc}") from exc

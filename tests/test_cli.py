@@ -22,8 +22,11 @@ import scipy
 
 import metriclab
 from metriclab import cli, core, gen_dataset, losses, reference_train_config, training, write_dataset_csv
+from metriclab.batching import BatchSpec
 from metriclab.cli import ExperimentConfig, run
-from metriclab.training import dataset_seed
+from metriclab.losses import LossConfig
+from metriclab.synth import DatasetSpec
+from metriclab.training import TrainConfig, dataset_seed
 
 TINY_CONFIG = {
     "seed": 0,
@@ -90,6 +93,18 @@ class TestCheckCommands:
         assert report["pass"] is True
         kinds = {p["kind"] for p in report["probes"]}
         assert kinds == {"triplet", "simce"}
+
+    def test_hessian_check_seed_1(self, tmp_path):
+        """Seed 1 draws a simce probe whose closed-form trace is 2.52e-3; second
+        differences at h = 1e-4 missed it by 3.7e-6 of round-off, 1.47e-3 relative,
+        and failed the run.  The probe's step keeps round-off inside the 1e-3
+        tolerance without widening it."""
+        out = tmp_path / "hess"
+        assert run(["hessian-check", "--seed", "1", "--out", str(out)]) == 0
+        probes = json.loads((out / "report.json").read_text())["probes"]
+        closest = min((p for p in probes if p["kind"] == "simce"), key=lambda p: p["closed_form"])
+        assert abs(closest["closed_form"] - 2.52e-3) < 5e-5
+        assert closest["rel_error"] <= 1e-4
 
     def test_robustness_check_passes_at_full_sample_count(self, tmp_path):
         out = tmp_path / "rob"
@@ -349,6 +364,36 @@ class TestUsageAndConfigErrors:
         bad.write_text(json.dumps(payload), encoding="ascii")
         assert run(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "unknown key 'side'" in capsys.readouterr().err
+
+    def test_every_config_field_type_has_a_rule(self, monkeypatch):
+        """_build_section checks each value by its field's declared type in
+        _FIELD_TYPES; a type without a rule would raise a KeyError, which run()
+        does not catch.  Every field of every section class it builds has one,
+        bar the fields passed in as ``own``."""
+        built = {}
+        build = cli._build_section
+
+        def spy(cls, section, name, path, **own):
+            built[cls] = set(own)
+            return build(cls, section, name, path, **own)
+
+        monkeypatch.setattr(cli, "_build_section", spy)
+        ExperimentConfig.from_file("configs/reference.json")
+        assert set(built) == {DatasetSpec, BatchSpec, LossConfig, TrainConfig}
+        assert [f"{cls.__name__}.{f.name}: {f.type}" for cls, own in built.items()
+                for f in dataclasses.fields(cls)
+                if f.name not in own and f.type not in cli._FIELD_TYPES] == []
+
+    @pytest.mark.parametrize("train", [None, "absent"])
+    def test_null_or_absent_train_section_reads_as_empty(self, train, tmp_path):
+        payload = {k: v for k, v in TINY_CONFIG.items() if k != "train"}
+        if train != "absent":
+            payload["train"] = train
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="ascii")
+        config = ExperimentConfig.from_file(path)
+        assert config.train_config() == TrainConfig(dataset=config.dataset, batch=config.batch,
+                                                    loss=config.loss, seed=0)
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["gen-data", "--config", str(tmp_path / "absent.json"),

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from metriclab import (
-    BatchSpec,
     EmbeddingBatch,
     SimMatrix,
     read_sim_matrix_csv,
@@ -26,7 +25,7 @@ from metriclab.losses import BatchGeometry
 def _random_pk_batch(rng, n_classes, samples_per_class, dim):
     data = rng.standard_normal((n_classes * samples_per_class, dim))
     labels = np.repeat(np.arange(n_classes), samples_per_class)
-    return EmbeddingBatch(data, labels, BatchSpec(n_classes, samples_per_class))
+    return EmbeddingBatch(data, labels)
 
 
 def _dist(*rows):
@@ -62,8 +61,9 @@ class TestEuclideanDist:
 
 
 class TestEmbeddingBatch:
-    def test_accepts_matching_spec(self):
-        batch = _random_pk_batch(np.random.default_rng(0), 3, 2, 4)
+    def test_accepts_any_label_layout(self):
+        """The [N, K] layout is the PK sampler's promise; the batch takes any labels."""
+        batch = EmbeddingBatch(np.zeros((6, 4)), np.array([0, 0, 0, 1, 2, 2]))
         assert batch.size == 6
         assert batch.dim == 4
 
@@ -76,11 +76,6 @@ class TestEmbeddingBatch:
         data[1, 1] = np.nan
         with pytest.raises(ValueError):
             EmbeddingBatch(data, np.array([0, 0, 1, 1]))
-
-    def test_rejects_wrong_pk_layout(self):
-        """With a batch spec, every label must appear exactly K times."""
-        with pytest.raises(ValueError):
-            EmbeddingBatch(np.zeros((4, 2)), np.array([0, 0, 0, 1]), BatchSpec(2, 2))
 
     def test_rejects_one_dimensional_data(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from metriclab import (
-    BatchSpec,
     EmbeddingBatch,
     GalleryProbeSplit,
     build_geometry_report,
@@ -21,7 +20,7 @@ from metriclab import (
     uniformity,
     variance_ratio,
 )
-from metriclab import core
+from metriclab import core, evaluation
 from metriclab.errors import DegenerateVectorError, NonFiniteError
 
 
@@ -144,11 +143,12 @@ class TestUniformity:
         np.testing.assert_allclose(uniformity(emb, t=2.0),
                                    _naive_uniformity(emb, 2.0), atol=1e-9)
 
-    def test_blocking_does_not_change_the_value(self):
+    def test_blocking_does_not_change_the_value(self, monkeypatch):
         rng = np.random.default_rng(212)
         emb = rng.standard_normal((50, 4))
-        np.testing.assert_allclose(uniformity(emb, t=2.0, block_size=7),
-                                   uniformity(emb, t=2.0, block_size=1024), atol=1e-12)
+        whole = uniformity(emb, t=2.0)  # one block of all 50 rows
+        monkeypatch.setattr(evaluation, "_UNIFORMITY_BLOCK_ROWS", 7)
+        np.testing.assert_allclose(uniformity(emb, t=2.0), whole, atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(213)
@@ -259,7 +259,7 @@ class TestSnapshotSimMatrix:
         rng = np.random.default_rng(241)
         data = rng.standard_normal((64, 5))
         labels = np.repeat(np.arange(8), 8)
-        batch = EmbeddingBatch(data, labels, BatchSpec(8, 8))
+        batch = EmbeddingBatch(data, labels)
         path = tmp_path / "sim.csv"
         snapshot_sim_matrix(batch, path)
         sim = read_sim_matrix_csv(path)

@@ -3,14 +3,16 @@
 A row of ``PATHS`` names the module constant or function that selects a fast
 path, a value that forces the fast path on every layout and one that forces
 the reference path it stands in for, where the default takes the fast path,
-and the path's promise: bit-identical counts and gradients, or values within
-the bound the code states.  Every row runs over every layout of ``LAYOUTS``,
-sizes on both sides of every crossover, and on each the forced fast run keeps
-the promise against the forced reference run; the default run is the
-reference run bit for bit short of the crossover and keeps the promise past
-it; and, on the label layouts the row names, the default run agrees with the
-loop oracles of ``loop_oracles.py``; one test case per row and labelling, so
-a failure names both.  Across all layouts, a second test per row checks that
+how to see that it did, and the path's promise: bit-identical counts and
+gradients, or values within the bound the code states.  Every row runs over
+every layout of ``LAYOUTS``, sizes on both sides of every crossover, and on
+each the forced fast run keeps the promise against the forced reference run;
+the default run is the reference run bit for bit short of the crossover, and
+past it keeps the promise and took the fast path: it is the forced fast run
+bit for bit or, where forcing changes the fast path's own shape (simce's
+anchor blocks), a spy counts its calls; and, on the label layouts the row
+names, the default run agrees with the loop oracles of ``loop_oracles.py``;
+one test case per row and labelling, so a failure names both.  Across all layouts, a second test per row checks that
 past the crossover every call leaves the reference run's bits on some
 layout, so no promise holds vacuously.  The three runs of a row on a layout
 are computed once and shared by both tests.
@@ -171,6 +173,33 @@ def _within_1e13(fast, slow, layout):
 
 
 # ---------------------------------------------------------------------------
+# past the crossover, (fast, default, layout, call) -> None: the default took the fast path
+
+
+def _same_bits_as_forced(fast, default, layout, call):
+    assert _bits(default) == _bits(fast), "the default left the fast path"
+
+
+def _simce_slabs_of_the_block_rule(fast, default, layout, call):
+    """The default call ran _simce_slab once per block of the fewest anchor blocks
+    of at most _SIMCE_BLOCK_ELEMS grid elements (one anchor a block when larger)."""
+    slabs = 0
+    slab = losses._simce_slab
+
+    def counted(*args):
+        nonlocal slabs
+        slabs += 1
+        return slab(*args)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(losses, "_simce_slab", counted)
+        _losses({call: _SIMCE_CALLS[call]})(layout)
+    n_rows, p, m = anchor_layout(layout.labels).grid.shape
+    rows = max(1, losses._SIMCE_BLOCK_ELEMS // (p * m))
+    assert slabs == -(-n_rows // rows), f"{slabs} simce slabs, the block rule makes {-(-n_rows // rows)}"
+
+
+# ---------------------------------------------------------------------------
 # loop oracles, (default output, layout, call) -> None, run on finite rows
 # (the distances on every row)
 
@@ -244,6 +273,7 @@ class FastPath:
     slow: object           # forces the reference path on every layout
     kernel: Callable       # layout -> {call: output}
     taken: Callable        # (layout, call) -> whether the default takes the fast path
+    took_fast: Callable    # (fast, default, layout, call) -> None, where taken
     promise: Callable      # (fast, slow, layout) -> None
     oracle: Callable       # (default, layout, call) -> None
     oracle_labellings: tuple  # the labellings just past the crossover
@@ -253,19 +283,19 @@ PATHS = {
     "gram-dist": FastPath(
         core, "_DIST_GRAM_MIN_ROWS", 1, 10**9, lambda layout: {"dist": core._pairwise_dist(layout.data)},
         lambda layout, call: layout.labels.size >= core._DIST_GRAM_MIN_ROWS,
-        _gram_bound, _dist_oracle, ("pk-4x8", "no-pair-32", "pk-9x8", "pk-8x9")),
+        _same_bits_as_forced, _gram_bound, _dist_oracle, ("pk-4x8", "no-pair-32", "pk-9x8", "pk-8x9")),
     "sorted-hinge": FastPath(
         losses, "_HINGE_SORT_MIN_P", 1, 10**9, _losses(_HINGE_CALLS),
         lambda layout, call: anchor_layout(layout.labels).pos_idx.shape[1] >= losses._HINGE_SORT_MIN_P,
-        _same_counts_and_gradient_bits(1e-12), _hinge_oracle, ("singleton-31",)),
+        _same_bits_as_forced, _same_counts_and_gradient_bits(1e-12), _hinge_oracle, ("singleton-31",)),
     "factored-simce": FastPath(
         losses, "_simce_factors", None, lambda *args: None, _losses(_SIMCE_CALLS), _factored,
-        _within_1e13, _simce_oracle, ("pk-2x4", "pk-4x4")),
+        _same_bits_as_forced, _within_1e13, _simce_oracle, ("pk-2x4", "pk-4x4")),
     "blocked-simce": FastPath(
         losses, "_SIMCE_BLOCK_ELEMS", 1, 2**62, _losses(_SIMCE_CALLS),
         lambda layout, call: (_factored(layout, call) and
                               anchor_layout(layout.labels).grid.size > losses._SIMCE_BLOCK_ELEMS),
-        _same_counts_and_gradient_bits(1e-13), _simce_oracle, ("pk-8x9",)),
+        _simce_slabs_of_the_block_rule, _same_counts_and_gradient_bits(1e-13), _simce_oracle, ("pk-8x9",)),
 }
 
 
@@ -298,7 +328,9 @@ def test_fast_path_forced_both_ways(name, labelling):
                         assert run == slow
                     else:
                         path.promise(run, slow, layout)
-                if not taken:
+                if taken:
+                    path.took_fast(fast, default, layout, call)
+                else:
                     assert _bits(default) == _bits(slow), "the default left the reference path"
                 if oracle_here:
                     path.oracle(default, layout, call)

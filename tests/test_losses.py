@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metriclab import (
-    BatchSpec,
     ClassifierHead,
     EmbeddingBatch,
     LossConfig,
@@ -68,7 +67,7 @@ def _ce_value(data, labels, head):
 def _pk_batch(rng, n_classes, samples_per_class, dim):
     data = rng.standard_normal((n_classes * samples_per_class, dim))
     labels = np.repeat(np.arange(n_classes), samples_per_class)
-    return EmbeddingBatch(data, labels, BatchSpec(n_classes, samples_per_class))
+    return EmbeddingBatch(data, labels)
 
 
 class TestWeightFromSim:
@@ -146,7 +145,7 @@ class TestTripletLoss:
         """Distances ignore a common shift, so the value must too."""
         rng = np.random.default_rng(43)
         batch = _pk_batch(rng, 3, 2, 5)
-        shifted = EmbeddingBatch(batch.data + 7.5, batch.labels, batch.batch_spec)
+        shifted = EmbeddingBatch(batch.data + 7.5, batch.labels)
         cfg = LossConfig(margin=0.4)
         np.testing.assert_allclose(
             triplet_loss(batch, cfg).value, triplet_loss(shifted, cfg).value, atol=1e-10)
@@ -268,7 +267,7 @@ class TestSimceLoss:
     def test_equal_similarities_give_log_two(self):
         """Orthonormal rows make every anchor dot product zero, so each
         triplet contributes exactly ln 2."""
-        batch = EmbeddingBatch(np.eye(4), np.array([0, 0, 1, 1]), BatchSpec(2, 2))
+        batch = EmbeddingBatch(np.eye(4), np.array([0, 0, 1, 1]))
         result = simce_loss(batch, LossConfig())
         np.testing.assert_allclose(result.value, math.log(2.0), atol=1e-12)
         assert result.n_non == result.n_total == 8
@@ -281,7 +280,7 @@ class TestSimceLoss:
         """
         c = math.sqrt(math.log(2.0))
         data = np.array([[c, 0.0], [c, 0.0], [0.0, c], [0.0, c]])
-        batch = EmbeddingBatch(data, np.array([0, 0, 1, 1]), BatchSpec(2, 2))
+        batch = EmbeddingBatch(data, np.array([0, 0, 1, 1]))
         result = simce_loss(batch, LossConfig(temperature=1.0))
         np.testing.assert_allclose(result.value, math.log(1.5), atol=1e-12)
 
@@ -291,7 +290,7 @@ class TestSimceLoss:
         values = []
         for c in (1.0, 2.0, 4.0, 8.0, 16.0):
             data = np.array([[c, 0.0], [c, 0.0], [0.0, c], [0.0, c]])
-            batch = EmbeddingBatch(data, np.array([0, 0, 1, 1]), BatchSpec(2, 2))
+            batch = EmbeddingBatch(data, np.array([0, 0, 1, 1]))
             values.append(simce_loss(batch, LossConfig()).value)
         assert all(v > 0 for v in values)
         assert np.all(np.diff(values) < 0)
@@ -301,7 +300,7 @@ class TestSimceLoss:
         """Dot-product gaps near +-800 stay finite via the stable softplus."""
         c = 30.0
         data = np.array([[c, 0.0], [-c, 0.0], [0.0, c], [0.0, -c]])
-        batch = EmbeddingBatch(data, np.array([0, 0, 1, 1]), BatchSpec(2, 2))
+        batch = EmbeddingBatch(data, np.array([0, 0, 1, 1]))
         result = simce_loss(batch, LossConfig())
         assert np.isfinite(result.value)
         assert np.all(np.isfinite(result.grad))
@@ -321,7 +320,7 @@ class TestSimceLoss:
         rng = np.random.default_rng(52)
         batch = _pk_batch(rng, 2, 3, 5)
         unit = batch.data / np.linalg.norm(batch.data, axis=1, keepdims=True)
-        pre = EmbeddingBatch(unit, batch.labels, batch.batch_spec)
+        pre = EmbeddingBatch(unit, batch.labels)
         np.testing.assert_allclose(
             simce_loss(batch, LossConfig(normalize_for_simce=True)).value,
             simce_loss(pre, LossConfig()).value, atol=1e-12)
@@ -330,7 +329,7 @@ class TestSimceLoss:
         """Dot products change under a common shift, unlike distances."""
         rng = np.random.default_rng(53)
         batch = _pk_batch(rng, 2, 2, 4)
-        shifted = EmbeddingBatch(batch.data + 2.0, batch.labels, batch.batch_spec)
+        shifted = EmbeddingBatch(batch.data + 2.0, batch.labels)
         cfg = LossConfig()
         assert abs(simce_loss(batch, cfg).value - simce_loss(shifted, cfg).value) > 1e-6
 
@@ -350,7 +349,7 @@ class TestMSimceLoss:
     def test_equal_similarities_give_log_one_plus_negatives(self):
         """Orthonormal rows: each pair sees 2 negatives at equal score, so
         the value is ln(1 + 2)."""
-        batch = EmbeddingBatch(np.eye(4), np.array([0, 0, 1, 1]), BatchSpec(2, 2))
+        batch = EmbeddingBatch(np.eye(4), np.array([0, 0, 1, 1]))
         result = m_simce_loss(batch, LossConfig())
         np.testing.assert_allclose(result.value, math.log(3.0), atol=1e-12)
         assert result.n_total == 4

@@ -6,6 +6,9 @@ Backprop is checked against central finite differences on every parameter
 coordinate; the optimizer against a frozen two-step hand trace.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -51,9 +54,10 @@ from metriclab.training import (
 def _label_scan_loop(config):
     """run_training's step loop as it was built before the per-run PK index
     and the flat parameter vector: an index built from the labels at every
-    draw, a spec-checked batch, and one sgd_update per parameter array, each
-    with its own momentum buffer.  Evaluation draws no random numbers, so it
-    is left out.  Returns (digest, losses, n_non)."""
+    draw, a batch whose [N, K] class-block layout is checked here, and one
+    sgd_update per parameter array, each with its own momentum buffer.
+    Evaluation draws no random numbers, so it is left out.  Returns
+    (digest, losses, n_non)."""
     dataset = gen_dataset(config.dataset)
     init_rng, batch_rng, _ = (np.random.default_rng(s)
                               for s in np.random.SeedSequence(config.seed).spawn(3))
@@ -68,7 +72,9 @@ def _label_scan_loop(config):
         lr = cosine_lr(step, config.total_iters, config.lr0, config.lr_min)
         rows = train_rows[sample_pk(pk_index(dataset.labels[train_rows], config.batch), batch_rng)]
         embeddings, cache = _forward_cached(model, dataset.features[rows])
-        batch = EmbeddingBatch(embeddings, dataset.labels[rows], config.batch)
+        blocks = dataset.labels[rows].reshape(config.batch.n_classes, config.batch.samples_per_class)
+        assert np.all(blocks == blocks[:, :1]) and np.unique(blocks[:, 0]).size == blocks.shape[0]
+        batch = EmbeddingBatch(embeddings, dataset.labels[rows])
         result = losses.LOSSES[_VARIANT_LOSSES[config.variant]](batch, config.loss, model.head)
         grads = _backward(model, cache, result.grad)
         grads["head_weight"] = (result.head_grad_weight if result.head_grad_weight is not None
@@ -222,6 +228,22 @@ class TestModelParams:
         path = tmp_path / "model.json"
         save_model(model, path)
         assert load_model(path).hidden_weight is None
+
+    @pytest.mark.parametrize("name, value", [("extra", [1.0]), ("embed_bias", "drop"),
+                                             ("head_weight", "drop")])
+    def test_load_refuses_what_save_model_does_not_write(self, name, value, tmp_path):
+        """A missing array or a name ModelParams does not take is an InvalidConfigError
+        that names the file, so the CLI reports it in one line, not a traceback."""
+        path = tmp_path / "model.json"
+        save_model(ModelParams.init(np.random.default_rng(46), 3, 2, 2), path)
+        payload = json.loads(path.read_text(encoding="ascii"))
+        if value == "drop":
+            del payload[name]
+        else:
+            payload[name] = value
+        path.write_text(json.dumps(payload), encoding="ascii")
+        with pytest.raises(InvalidConfigError, match=re.escape(f"{path} is not a saved model: ") + f".*{name}"):
+            load_model(path)
 
 
 class TestModelForward:
@@ -402,7 +424,6 @@ class TestRunTraining:
         final = model_forward(model, dataset.features[rows])
         np.testing.assert_array_equal(snaps[4].data, final)
         np.testing.assert_array_equal(snaps[4].labels, dataset.labels[rows])
-        assert snaps[4].batch_spec == config.batch
         assert not np.array_equal(snaps[0].data, snaps[4].data)
 
     def test_exploding_run_raises_divergence_error(self):
