@@ -253,8 +253,9 @@ def batch_gradcheck(loss_fn, batch: EmbeddingBatch, h: float = 1e-5) -> float:
     shape = batch.data.shape
 
     def value_at(stack):
-        # the base batch's labels are already checked; only finiteness can change
-        return np.array([loss_fn(EmbeddingBatch(flat.reshape(shape), batch.labels)).value
+        # unchecked: the base batch is checked, a +-h copy of its finite rows is finite,
+        # and finite_diff_grad refuses a non-finite loss value
+        return np.array([loss_fn(_unchecked_batch(flat.reshape(shape), batch.labels)).value
                          for flat in stack])
 
     numeric = finite_diff_grad(value_at, batch.data.ravel(), h)

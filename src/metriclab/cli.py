@@ -120,9 +120,12 @@ class ExperimentConfig:
         sections = (("dataset", DatasetSpec), ("batch", BatchSpec), ("loss", LossConfig))
         dataset, batch, loss = (_build_section(c, payload.get(name), name, path) for name, c in sections)
         loss, train = loss or LossConfig(), payload.get("train")
-        # built before any command runs, so a bad value fails first; a null section is empty
-        train = _build_section(TrainConfig, {} if train is None else train, "train", path,
-                               dataset=dataset, batch=batch, loss=loss, seed=seed)
+        missing = [name for name, section in (("dataset", dataset), ("batch", batch)) if section is None]
+        if missing and train is not None:
+            raise InvalidConfigError(f"{path}: config has no {missing[0]!r} section, which 'train' needs")
+        if not missing:  # built before any command runs, so a bad value fails first; a null section is empty
+            train = _build_section(TrainConfig, {} if train is None else train, "train", path,
+                                   dataset=dataset, batch=batch, loss=loss, seed=seed)
         return cls(seed=seed, dataset=dataset, batch=batch, loss=loss, train=train, raw_payload=payload)
 
     def train_config(self) -> TrainConfig:

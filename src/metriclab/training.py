@@ -32,7 +32,10 @@ TRAIN_VARIANTS = tuple(_VARIANT_LOSSES)
 
 @dataclass
 class ModelParams:
-    """Affine embedding model with an optional tanh hidden layer and a head."""
+    """Affine embedding model with an optional tanh hidden layer and a head.
+
+    Construction packs every array into one float64 vector, ``flat``, in param_dict
+    order, and every attribute, the head's included, becomes a view of it."""
 
     embed_weight: np.ndarray
     embed_bias: np.ndarray
@@ -58,6 +61,11 @@ class ModelParams:
                 raise DimensionMismatchError("embed weight does not accept the hidden output")
         if self.head.dim != self.embed_weight.shape[0]:
             raise DimensionMismatchError("classifier head does not accept the embedding dim")
+        self.flat = np.concatenate(list(self.param_dict().values()), axis=None)
+        views = self.views(self.flat)
+        self.embed_weight, self.embed_bias = views["embed_weight"], views["embed_bias"]
+        self.head = ClassifierHead(views["head_weight"], views["head_bias"])
+        self.hidden_weight, self.hidden_bias = views.get("hidden_weight"), views.get("hidden_bias")
 
     @property
     def input_dim(self) -> int:
@@ -93,21 +101,12 @@ class ModelParams:
             params["hidden_bias"] = self.hidden_bias
         return params
 
-    def flatten(self) -> np.ndarray:
-        """Move every trainable array into one contiguous float64 vector, in param_dict order.
-
-        The attributes become views of the returned vector, so one
-        elementwise update of it moves them all; values and digest stay.
-        """
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a vector laid out like ``flat``, keyed and shaped as param_dict."""
         params = self.param_dict()
-        flat = np.concatenate(list(params.values()), axis=None)
         bounds = np.cumsum([0] + [a.size for a in params.values()])
-        views = [flat[lo:hi].reshape(a.shape)
-                 for lo, hi, a in zip(bounds[:-1], bounds[1:], params.values())]
-        self.embed_weight, self.embed_bias, self.head.weight, self.head.bias, *hidden = views
-        if hidden:
-            self.hidden_weight, self.hidden_bias = hidden
-        return flat
+        return {name: flat[lo:hi].reshape(a.shape)
+                for (name, a), lo, hi in zip(params.items(), bounds[:-1], bounds[1:])}
 
     def digest(self) -> str:
         """sha256 over all parameter bytes in a fixed key order."""
@@ -138,17 +137,15 @@ def model_forward(model: ModelParams, features) -> np.ndarray:
     return _forward_cached(model, features)[0]
 
 
-def _backward(model: ModelParams, cache, grad_embed: np.ndarray) -> dict[str, np.ndarray]:
+def _backward(model: ModelParams, cache, grad_embed: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Write the embedding and hidden-layer gradients into the arrays of ``grads``."""
     X, hidden_out, pre_embed = cache
-    grads = {
-        "embed_weight": grad_embed.T @ pre_embed,
-        "embed_bias": grad_embed.sum(axis=0),
-    }
+    np.matmul(grad_embed.T, pre_embed, out=grads["embed_weight"])
+    grad_embed.sum(axis=0, out=grads["embed_bias"])
     if model.hidden_weight is not None:
         d_hidden = (grad_embed @ model.embed_weight) * (1.0 - hidden_out**2)
-        grads["hidden_weight"] = d_hidden.T @ X
-        grads["hidden_bias"] = d_hidden.sum(axis=0)
-    return grads
+        np.matmul(d_hidden.T, X, out=grads["hidden_weight"])
+        d_hidden.sum(axis=0, out=grads["hidden_bias"])
 
 
 @dataclass
@@ -219,23 +216,25 @@ class TrainConfig:
     eval_metric: str = "euclidean"
 
     def __post_init__(self):
+        for name, cls in (("dataset", DatasetSpec), ("batch", BatchSpec), ("loss", LossConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise InvalidConfigError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         if self.variant not in TRAIN_VARIANTS:
             raise InvalidConfigError(f"variant must be one of {TRAIN_VARIANTS}, got {self.variant!r}")
         if self.eval_metric not in METRICS:
             raise InvalidConfigError(
                 f"eval_metric must be one of {METRICS}, got {self.eval_metric!r}"
             )
-        if self.total_iters < 0:
-            # 0 is legal and means "evaluate the initial model, train nothing"
-            raise InvalidConfigError(f"total_iters must be >= 0, got {self.total_iters}")
-        if self.eval_interval < 1:
-            raise InvalidConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.embed_dim < 2:
-            raise InvalidConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
-        if self.hidden_dim is not None and self.hidden_dim < 1:
-            raise InvalidConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        # each integer field and its least value; 0 iterations only evaluates the initial model
+        for name, least in (("total_iters", 0), ("eval_interval", 1), ("seed", 0), ("embed_dim", 2),
+                            ("hidden_dim", 1)):
+            value = getattr(self, name)
+            if value is None and name == "hidden_dim":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise InvalidConfigError(f"{name} must be >= {least}, got {value}")
         if self.init_scale <= 0.0:
             raise InvalidConfigError(f"init_scale must be > 0, got {self.init_scale}")
         if not 0.0 < self.holdout_fraction < 1.0:
@@ -347,19 +346,17 @@ def holdout_split(labels, fraction: float, rng: np.random.Generator):
             np.sort(np.concatenate(probe)))
 
 
-def _loss_and_grads(model: ModelParams, features, labels, loss_cfg, variant):
+def _loss_and_grads(model: ModelParams, features, labels, loss_cfg, variant, grads):
+    """The step's loss result; the parameter gradients go into the arrays of ``grads``."""
     embeddings, cache = _forward_cached(model, features)
     # unchecked: the forward pass fixes the shapes, sample_pk the [N, K] layout, and the
     # loss result's finiteness check also catches overflow inside a loss on finite rows
     batch = _unchecked_batch(embeddings, labels)
     result = LOSSES[_VARIANT_LOSSES[variant]](batch, loss_cfg, model.head)
-    grads = _backward(model, cache, result.grad)
-    zeros = lambda a: np.zeros_like(a)  # noqa: E731 - tiny local alias
-    grads["head_weight"] = (result.head_grad_weight
-                            if result.head_grad_weight is not None else zeros(model.head.weight))
-    grads["head_bias"] = (result.head_grad_bias
-                          if result.head_grad_bias is not None else zeros(model.head.bias))
-    return result, grads
+    _backward(model, cache, result.grad, grads)
+    if result.head_grad_weight is not None:  # a loss without a head term leaves the head's gradient zero
+        grads["head_weight"][...], grads["head_bias"][...] = result.head_grad_weight, result.head_grad_bias
+    return result
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -406,61 +403,45 @@ def run_training(config: TrainConfig, snapshot_iters=()):
     model = ModelParams.init(
         init_rng, dataset.dim, config.embed_dim, config.dataset.n_classes,
         config.hidden_dim, config.init_scale)
-    names = list(model.param_dict())
-    params = model.flatten()
+    grad = np.zeros_like(model.flat)
+    grads = model.views(grad)
     state = OptimState(momentum=config.momentum, weight_decay=config.weight_decay)
     pk = pk_index(dataset.labels[train_rows], config.batch)
     snap_set = set(int(s) for s in snapshot_iters)
     snap_rows = snapshot_rows(config.seed, config.batch, dataset.labels) if snap_set else None
     snapshots: dict[int, EmbeddingBatch] = {}
-
-    losses, lrs, n_non = [], [], []
+    n = config.total_iters
+    losses, lrs, n_non = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
     eval_rows = []
 
-    def record_eval(iteration: int):
-        try:
-            r1, geo = evaluate(model, dataset, gallery_rows, probe_rows, config)
-        except NonFiniteError as exc:
-            raise DivergenceError(f"non-finite embeddings at iteration {iteration}: {exc}") from exc
-        eval_rows.append((iteration, r1, geo.uniformity, geo.kappa_hat, geo.inter_intra_ratio))
-
-    def maybe_snapshot(iteration: int):
+    def boundary(iteration: int):
+        """Evaluate when the schedule says so and snapshot when asked, after ``iteration`` steps."""
+        if iteration % config.eval_interval == 0 or iteration == n:
+            try:
+                r1, geo = evaluate(model, dataset, gallery_rows, probe_rows, config)
+            except NonFiniteError as exc:
+                raise DivergenceError(f"non-finite embeddings at iteration {iteration}: {exc}") from exc
+            eval_rows.append((iteration, r1, geo.uniformity, geo.kappa_hat, geo.inter_intra_ratio))
         if iteration in snap_set:
             emb = model_forward(model, dataset.features[snap_rows])
             snapshots[iteration] = EmbeddingBatch(emb, dataset.labels[snap_rows])
 
-    record_eval(0)
-    maybe_snapshot(0)
-    for step in range(config.total_iters):
-        lr = cosine_lr(step, config.total_iters, config.lr0, config.lr_min)
-        pick = sample_pk(pk, batch_rng)
-        rows = train_rows[pick]
+    boundary(0)
+    for step in range(n):
+        lrs[step] = lr = cosine_lr(step, n, config.lr0, config.lr_min)
+        rows = train_rows[sample_pk(pk, batch_rng)]
         try:
-            result, grads = _loss_and_grads(
-                model, dataset.features[rows], dataset.labels[rows], config.loss, config.variant)
+            result = _loss_and_grads(model, dataset.features[rows], dataset.labels[rows],
+                                     config.loss, config.variant, grads)
         except NonFiniteError as exc:
             raise DivergenceError(f"non-finite loss at iteration {step}: {exc}") from exc
-        sgd_update(params, np.concatenate([grads[n] for n in names], axis=None), state, lr)
-        losses.append(result.value)
-        lrs.append(lr)
-        n_non.append(result.n_non)
-        done = step + 1
-        if done % config.eval_interval == 0 or done == config.total_iters:
-            record_eval(done)
-        maybe_snapshot(done)
+        sgd_update(model.flat, grad, state, lr)
+        losses[step], n_non[step] = result.value, result.n_non
+        boundary(step + 1)
 
-    report = TrainReport(
-        iters=np.arange(config.total_iters, dtype=np.int64),
-        losses=np.asarray(losses, dtype=np.float64),
-        lrs=np.asarray(lrs, dtype=np.float64),
-        n_non=np.asarray(n_non, dtype=np.int64),
-        eval_iters=np.asarray([r[0] for r in eval_rows], dtype=np.int64),
-        rank1=np.asarray([r[1] for r in eval_rows], dtype=np.float64),
-        uniformity=np.asarray([r[2] for r in eval_rows], dtype=np.float64),
-        kappa_hat=np.asarray([r[3] for r in eval_rows], dtype=np.float64),
-        inter_intra=np.asarray([r[4] for r in eval_rows], dtype=np.float64),
-        params_digest=model.digest(),
-    )
+    eval_iters, *eval_columns = np.array(eval_rows, dtype=np.float64).T
+    report = TrainReport(np.arange(n, dtype=np.int64), losses, lrs, n_non,
+                         eval_iters.astype(np.int64), *eval_columns, model.digest())
     return report, model, dataset, (train_rows, gallery_rows, probe_rows), snapshots
 
 

@@ -322,9 +322,15 @@ class TestUsageAndConfigErrors:
          "seed must be an integer, got 1.5"),
         ("train", dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], seed=True)),
          "seed must be an integer, got true"),
+        # a train section is checked with the file, so it needs both of the sections it trains on
+        ("gen-data", {k: v for k, v in TINY_CONFIG.items() if k != "batch"},
+         "config has no 'batch' section, which 'train' needs"),
+        ("train", {k: v for k, v in TINY_CONFIG.items() if k != "dataset"},
+         "config has no 'dataset' section, which 'train' needs"),
     ], ids=["gen-data-without-dataset", "train-with-negative-iters", "train-with-seed-true",
             "gen-data-with-seed-false", "train-with-negative-seed", "gen-data-with-negative-seed",
-            "gen-data-with-dataset-seed-1.5", "train-with-dataset-seed-true"])
+            "gen-data-with-dataset-seed-1.5", "train-with-dataset-seed-true",
+            "gen-data-with-train-but-no-batch", "train-without-dataset"])
     def test_refused_config_creates_no_out_directory(self, command, payload, message,
                                                      tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -394,6 +400,16 @@ class TestUsageAndConfigErrors:
         config = ExperimentConfig.from_file(path)
         assert config.train_config() == TrainConfig(dataset=config.dataset, batch=config.batch,
                                                     loss=config.loss, seed=0)
+
+    def test_dataset_only_config_generates_data_but_does_not_train(self, tmp_path, capsys):
+        """No TrainConfig is built without a batch section: gen-data runs, and
+        train is refused by train_config()'s guard."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 0, "dataset": TINY_CONFIG["dataset"]}), encoding="ascii")
+        assert ExperimentConfig.from_file(path).train is None
+        assert run(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+        assert run(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert "training needs both a 'dataset' and a 'batch' section" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["gen-data", "--config", str(tmp_path / "absent.json"),

@@ -53,11 +53,12 @@ from metriclab.training import (
 
 def _label_scan_loop(config):
     """run_training's step loop as it was built before the per-run PK index
-    and the flat parameter vector: an index built from the labels at every
-    draw, a batch whose [N, K] class-block layout is checked here, and one
-    sgd_update per parameter array, each with its own momentum buffer.
-    Evaluation draws no random numbers, so it is left out.  Returns
-    (digest, losses, n_non)."""
+    and the flat parameter and gradient vectors: an index built from the
+    labels at every draw, a batch whose [N, K] class-block layout is checked
+    here, its own gradient array per parameter (a head gradient the loss does
+    not return is zero), and one sgd_update per parameter array, each with its
+    own momentum buffer.  Evaluation draws no random numbers, so it is left
+    out.  Returns (digest, losses, n_non)."""
     dataset = gen_dataset(config.dataset)
     init_rng, batch_rng, _ = (np.random.default_rng(s)
                               for s in np.random.SeedSequence(config.seed).spawn(3))
@@ -76,7 +77,8 @@ def _label_scan_loop(config):
         assert np.all(blocks == blocks[:, :1]) and np.unique(blocks[:, 0]).size == blocks.shape[0]
         batch = EmbeddingBatch(embeddings, dataset.labels[rows])
         result = losses.LOSSES[_VARIANT_LOSSES[config.variant]](batch, config.loss, model.head)
-        grads = _backward(model, cache, result.grad)
+        grads = {name: np.empty_like(param) for name, param in params.items()}
+        _backward(model, cache, result.grad, grads)
         grads["head_weight"] = (result.head_grad_weight if result.head_grad_weight is not None
                                 else np.zeros_like(model.head.weight))
         grads["head_bias"] = (result.head_grad_bias if result.head_grad_bias is not None
@@ -178,23 +180,32 @@ class TestModelParams:
         assert model.embed_bias[0] == 7.5
 
     @pytest.mark.parametrize("hidden_dim", [None, 5])
-    def test_flatten_keeps_values_and_makes_the_arrays_views(self, hidden_dim):
+    def test_construction_packs_the_arrays_into_one_vector(self, hidden_dim, tmp_path):
+        """Every param_dict array, the head's included, is a view of model.flat at
+        its place in param_dict order, with the values it was built from; a
+        saved and reloaded model is packed the same way and keeps the digest."""
         rng = np.random.default_rng(47)
-        model = ModelParams.init(rng, 6, 4, 3, hidden_dim=hidden_dim)
-        before = {name: arr.copy() for name, arr in model.param_dict().items()}
+        shapes = {"embed_weight": (4, hidden_dim or 6), "embed_bias": (4,),
+                  "head_weight": (3, 4), "head_bias": (3,)}
+        if hidden_dim is not None:
+            shapes.update(hidden_weight=(5, 6), hidden_bias=(5,))
+        given = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        head = ClassifierHead(given["head_weight"], given["head_bias"])
+        model = ModelParams(head=head, **{k: v for k, v in given.items() if not k.startswith("head")})
         digest = model.digest()
-        flat = model.flatten()
-        assert flat.dtype == np.float64 and flat.flags.c_contiguous
-        assert flat.size == sum(a.size for a in before.values())
-        assert model.digest() == digest
-        np.testing.assert_array_equal(
-            flat, np.concatenate([before[n].ravel() for n in model.param_dict()]))
-        for name, arr in model.param_dict().items():
-            np.testing.assert_array_equal(arr, before[name])
-            assert np.shares_memory(arr, flat), name
-        flat += 1.0
-        for name, arr in model.param_dict().items():
-            np.testing.assert_array_equal(arr, before[name] + 1.0)
+        save_model(model, tmp_path / "model.json")
+        for m in (model, load_model(tmp_path / "model.json")):
+            assert m.flat.dtype == np.float64 and m.flat.flags.c_contiguous and m.digest() == digest
+            assert list(m.param_dict()) == list(shapes)
+            offset = 0
+            for name, arr in m.param_dict().items():
+                np.testing.assert_array_equal(arr, given[name])
+                assert arr.base is m.flat and arr.ctypes.data == m.flat.ctypes.data + 8 * offset, name
+                offset += arr.size
+            assert offset == m.flat.size
+            m.flat += 1.0
+            for name, arr in m.param_dict().items():
+                np.testing.assert_array_equal(arr, given[name] + 1.0)
 
     def test_digest_tracks_parameter_changes(self):
         rng = np.random.default_rng(43)
@@ -270,7 +281,9 @@ class TestModelForward:
         features = rng.standard_normal((4, 3))
         labels = np.array([0, 0, 1, 1])
         cfg = LossConfig(margin=5.0)
-        _, grads = _loss_and_grads(model, features, labels, cfg, variant)
+        grads = model.views(np.zeros_like(model.flat))
+        _loss_and_grads(model, features, labels, cfg, variant, grads)
+        scratch = model.views(np.zeros_like(model.flat))
         h = 1e-6
         for name, param in model.param_dict().items():
             numeric = np.zeros_like(param)
@@ -278,9 +291,9 @@ class TestModelForward:
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + h
-                up = _loss_and_grads(model, features, labels, cfg, variant)[0].value
+                up = _loss_and_grads(model, features, labels, cfg, variant, scratch).value
                 flat[k] = orig - h
-                down = _loss_and_grads(model, features, labels, cfg, variant)[0].value
+                down = _loss_and_grads(model, features, labels, cfg, variant, scratch).value
                 flat[k] = orig
                 numeric.reshape(-1)[k] = (up - down) / (2 * h)
             np.testing.assert_allclose(grads[name], numeric, rtol=1e-5, atol=1e-7,
@@ -351,6 +364,33 @@ class TestTrainConfig:
             _small_config(seed=-1)
         with pytest.raises(InvalidConfigError, match="run seed must be >= 0, got -1"):
             reference_train_config(seed=-1)
+
+    @pytest.mark.parametrize("section, value", [("dataset", None), ("batch", (2, 2)),
+                                                ("loss", {"margin": 0.2})])
+    def test_sections_of_the_wrong_class_are_refused(self, section, value):
+        """A None or raw section used to build and fail inside run_training
+        with an AttributeError; it is refused where it is set, by name."""
+        with pytest.raises(InvalidConfigError, match=f"^{section} must be a "):
+            _small_config(**{section: value})
+        if section == "dataset":
+            with pytest.raises(InvalidConfigError, match="^dataset must be a DatasetSpec, got None"):
+                TrainConfig(dataset=None, batch=None, loss=LossConfig(), total_iters=1)
+
+    @pytest.mark.parametrize("field, value", [("total_iters", 4.5), ("embed_dim", 4.0),
+                                              ("eval_interval", 2.5), ("seed", True),
+                                              ("hidden_dim", 5.0), ("hidden_dim", False)])
+    def test_integer_fields_refuse_floats_and_booleans(self, field, value):
+        """A float count used to end in a TypeError inside the run, or a
+        fractional eval schedule; a boolean seed trained as seed 1."""
+        with pytest.raises(InvalidConfigError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            _small_config(**{field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        ints = dict(total_iters=6, eval_interval=3, seed=1, embed_dim=4, hidden_dim=5)
+        plain = train(_small_config(**ints))
+        numpy_ints = train(_small_config(**{k: np.int64(v) for k, v in ints.items()}))
+        assert numpy_ints.params_digest == plain.params_digest
+        np.testing.assert_array_equal(numpy_ints.eval_iters, plain.eval_iters)
 
     def test_reference_config_pins(self):
         """The benchmark configuration is frozen; runs elsewhere must be
