@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .batching import BatchSpec
+from .batching import BatchSpec, anchor_layout
 from .core import EmbeddingBatch, _unchecked_batch
 from .errors import EvaluationError, InvalidConfigError, SingularityError
 from .losses import BatchGeometry
@@ -25,6 +25,8 @@ from .losses import BatchGeometry
 _MC_BLOCK_PAIRS = 1024
 # closest a gradcheck batch's hinge argument may sit to its kink: 10x batch_gradcheck's step
 _KINK_GAP = 1e-4
+# doubles in the largest temporary of one batch_gradcheck loss call: 512 KB, in L2
+_GRADCHECK_BLOCK_ELEMS = 65536
 
 
 @dataclass(frozen=True)
@@ -247,16 +249,21 @@ def batch_gradcheck(loss_fn, batch: EmbeddingBatch, h: float = 1e-5) -> float:
     loss_fn takes a batch and returns something with .value and .grad.  The
     error is max |analytic - numeric| over all batch coordinates, divided by
     the larger of the two gradients' max magnitudes (or 0 when both vanish).
-    The losses take one batch at a time, so each perturbed row is one call.
+    loss_fn must be row-wise (else EvaluationError), as the losses are: each side is one call per
+    (k, B, D) block of the perturbed copies whose (k, B, B, D) differences and (k, B, P, M) grid
+    fit _GRADCHECK_BLOCK_ELEMS, a one-copy block being one 2-D batch.
     """
     base = loss_fn(batch)
-    shape = batch.data.shape
+    per_copy = max(batch.size * batch.data.size, anchor_layout(batch.labels).grid.size)
+    copies = max(1, _GRADCHECK_BLOCK_ELEMS // per_copy)
+    shape = batch.data.shape if copies == 1 else (-1,) + batch.data.shape
 
     def value_at(stack):
         # unchecked: the base batch is checked, a +-h copy of its finite rows is finite,
         # and finite_diff_grad refuses a non-finite loss value
-        return np.array([loss_fn(_unchecked_batch(flat.reshape(shape), batch.labels)).value
-                         for flat in stack])
+        return np.concatenate([np.atleast_1d(loss_fn(_unchecked_batch(stack[i:i + copies].reshape(shape),
+                                                                      batch.labels)).value)
+                               for i in range(0, len(stack), copies)])
 
     numeric = finite_diff_grad(value_at, batch.data.ravel(), h)
     analytic = np.asarray(base.grad, dtype=np.float64).ravel()

@@ -135,6 +135,14 @@ class AnchorLayout:
     def n_pairs(self) -> int:
         return int(np.count_nonzero(self.pos_mask))
 
+    def stacked_flat(self, stack: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """pos_flat and neg_flat offset into each B x B matrix of a raveled ``stack`` of them."""
+        cache = self.__dict__.setdefault("_stacked_flat", {})  # per stack shape, as cached_property keeps
+        if stack not in cache:
+            start = self.pos_idx.shape[0] ** 2 * np.arange(np.prod(stack, dtype=int)).reshape(stack + (1, 1))
+            cache[stack] = _freeze(self.pos_flat + start), _freeze(self.neg_flat + start)
+        return cache[stack]
+
 
 def _padded_rows(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column indices of each row's True entries, ascending, padded with the row's own index."""

@@ -36,15 +36,15 @@ class EmbeddingBatch:
 
     @property
     def size(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
 
 def _unchecked_batch(data: np.ndarray, labels: np.ndarray, cls=EmbeddingBatch) -> EmbeddingBatch:
-    """An EmbeddingBatch of float64 (B, D) data and B int64 labels, built without any check."""
+    """An EmbeddingBatch of float64 (B, D) or (k, B, D) stacked data and B int64 labels, unchecked."""
     batch = object.__new__(cls)  # cls bound at import: a wrapper later put on the name is no class
     batch.__dict__.update(data=data, labels=labels)
     return batch
@@ -78,21 +78,21 @@ class SimMatrix:
 
 
 def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X scaled to unit rows, and the row norms."""
-    norms = np.linalg.norm(X, axis=1)
+    """X scaled to unit rows, and the row norms (over the last axis, so stacks too)."""
+    norms = np.linalg.norm(X, axis=-1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DegenerateVectorError(f"row {zero[0]} has zero norm and no direction")
-    return X / norms[:, None], norms
+        raise DegenerateVectorError(f"row {zero[0] % X.shape[-2]} has zero norm and no direction")
+    return X / norms[..., None], norms
 
 
 def _cosine_values(unit: np.ndarray) -> np.ndarray:
     """Cosines of unit rows, valid by construction: the loss layer skips the SimMatrix checks."""
     # mirror the upper triangle so rounding cannot break symmetry (diagonal reset below)
-    vals = np.triu(unit @ unit.T)
-    vals += vals.T
+    vals = np.triu(unit @ unit.swapaxes(-1, -2))
+    vals += vals.swapaxes(-1, -2)
     np.clip(vals, -1.0, 1.0, out=vals)
-    np.fill_diagonal(vals, 1.0)
+    np.einsum("...ii->...i", vals)[...] = 1.0  # a writable view of each diagonal
     return vals
 
 
@@ -122,7 +122,9 @@ def _pairwise_dist(X: np.ndarray) -> np.ndarray:
     A squared row norm outside _DIST_GRAM_NORMS, or a NaN, sends the whole
     batch to the explicit form, so an entry is finite exactly when it is there.
     """
-    if X.shape[0] >= _DIST_GRAM_MIN_ROWS:
+    if X.shape[-2] >= _DIST_GRAM_MIN_ROWS:
+        if X.ndim > 2:  # a (k, B, D) stack: the norm test and the pairs recomputed are per batch
+            return np.stack([_pairwise_dist(x) for x in X])
         # a copied transpose, so one GEMM: NumPy's SYRK route for X @ X.T fills
         # its lower triangle element by element, 110 us of 165 at 256 rows.  An
         # overflow here shows in the norms, which send the batch to the explicit form.
@@ -139,8 +141,8 @@ def _pairwise_dist(X: np.ndarray) -> np.ndarray:
             diff = X[i] - X[j]
             flat[redo] = np.einsum("ij,ij->i", diff, diff)
             return np.sqrt(d2, out=d2)
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    diff = X[..., None, :] - X[..., None, :, :]
+    return np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff))
 
 
 def similarity_matrix(batch: EmbeddingBatch, kind: str = "cosine") -> SimMatrix:

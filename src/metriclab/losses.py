@@ -8,10 +8,12 @@ the batch's :class:`~metriclab.batching.AnchorLayout` from one shared
 :class:`BatchGeometry`, sum each term's weights over the other axis into
 one coefficient per pair, and push the B x B coefficient matrix through one
 of three closed-form chain rules (distance, raw inner product, cosine).
+Every loss is row-wise: (k, B, D) data, k batches of one label layout, gives k values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,7 +65,7 @@ class LossResult:
 
     n_non counts triplets with a strictly positive hinge; losses without a
     hinge report n_non == n_total.  Classifier-head gradients ride along
-    when the loss touches a head.
+    when the loss touches a head.  A stack's counters total over it; one batch's value is a float.
     """
 
     value: float
@@ -74,11 +76,13 @@ class LossResult:
     head_grad_bias: np.ndarray | None = None
 
     def __post_init__(self):
+        if getattr(self.value, "ndim", 0) == 0:
+            object.__setattr__(self, "value", float(self.value))
         if not (0 <= self.n_non <= self.n_total):
             raise ValueError(f"n_non={self.n_non} outside [0, n_total={self.n_total}]")
-        if not np.isfinite(self.value):
+        if not (math.isfinite(self.value) if isinstance(self.value, float) else np.isfinite(self.value).all()):
             raise NonFiniteError("loss value is non-finite")
-        if not np.all(np.isfinite(self.grad)):
+        if not np.isfinite(self.grad).all():
             raise NonFiniteError("loss gradient contains non-finite entries")
 
 
@@ -134,6 +138,8 @@ class BatchGeometry:
     def __init__(self, batch: EmbeddingBatch):
         self.batch = batch
         self.layout = anchor_layout(batch.labels)
+        self.copies = math.prod(batch.data.shape[:-2])  # batches in a stack, 1 for one batch
+        self.pos_flat, self.neg_flat = self.layout.stacked_flat(batch.data.shape[:-2])
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -151,27 +157,27 @@ class BatchGeometry:
         """Score matrix of the contrastive losses: cosines or raw inner products."""
         if cfg.normalize_for_simce:
             return self.sim
-        return self.batch.data @ self.batch.data.T
+        return self.batch.data @ self.batch.data.swapaxes(-1, -2)
 
     def score_grad(self, C: np.ndarray, cfg: LossConfig) -> np.ndarray:
         if cfg.normalize_for_simce:
             return _grad_from_cos(C, *self.unit_norms, self.sim)
-        return (C + C.T) @ self.batch.data
+        return (C + C.swapaxes(-1, -2)) @ self.batch.data
 
     def blocks(self, pairwise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """pairwise[a, positives of a] as (B, P) and pairwise[a, negatives of a] as (B, M)."""
-        flat = pairwise.ravel()
-        return flat[self.layout.pos_flat], flat[self.layout.neg_flat]
+        """pairwise[..., a, positives of a] as (..., B, P) and its negatives as (..., B, M)."""
+        flat = pairwise.reshape(-1)
+        return flat[self.pos_flat], flat[self.neg_flat]
 
     def coefficients(self, c_pos: np.ndarray, c_neg: np.ndarray) -> np.ndarray:
-        """B x B matrix with c_pos and c_neg put back at the layout's (a, p) and (a, n).
+        """B x B matrices with c_pos and c_neg put back at the layout's (a, p) and (a, n).
 
         Padding slots point at the diagonal and must carry zero, so it stays zero.
         """
-        C = np.zeros((self.batch.size, self.batch.size))
-        flat = C.ravel()  # a view: C is contiguous
-        flat[self.layout.pos_flat] = c_pos
-        flat[self.layout.neg_flat] = c_neg
+        C = np.zeros(self.batch.data.shape[:-1] + (self.batch.size,))
+        flat = C.reshape(-1)  # a view: C is contiguous
+        flat[self.pos_flat] = c_pos
+        flat[self.neg_flat] = c_neg
         return C
 
 
@@ -181,26 +187,24 @@ def _grad_from_dist(C: np.ndarray, X: np.ndarray, D: np.ndarray) -> np.ndarray:
     Coincident pairs (D_ij == 0) contribute nothing: the subgradient there
     is pinned to zero.
     """
-    R = C + C.T
+    R = C + C.swapaxes(-1, -2)
     M = np.divide(R, D, out=np.zeros_like(R), where=D > 0.0)
-    return M.sum(axis=1)[:, None] * X - M @ X
+    return M.sum(axis=-1)[..., None] * X - M @ X
 
 
 def _grad_from_cos(C: np.ndarray, unit: np.ndarray, norms: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Gradient of sum_ij C_ij * S_ij with S the cosine matrix (C diagonal must be zero)."""
-    R = C + C.T
-    return (R @ unit - (R * S).sum(axis=1)[:, None] * unit) / norms[:, None]
+    R = C + C.swapaxes(-1, -2)
+    return (R @ unit - (R * S).sum(axis=-1)[..., None] * unit) / norms[..., None]
 
 
 # Fewest positive slots per anchor (P) at which _hinge sorts instead of
 # building the (B, P, M) grid: O(B (P + M) log(P + M)) plus about 60 us of
-# fixed cost a call, against O(B P M).  One hinge call, median thread time on
-# one pinned CPU of a 2-vCPU AVX-512 VM, grid / sort, for (N, K) PK batches:
-# (4, 4) 39 / 99 us, (32, 4) 613 / 807 us, (8, 6) 87 / 107 us, (8, 8)
-# 211 / 148 us, (9, 9) 374 / 239 us, (10, 10) 658 / 354 us, (4, 32)
-# 3.3 / 0.76 ms, (16, 16) 9.2 / 2.7 ms.  The sort pays by P = 7, but the grid
-# keeps (8, 8), where it gives up about 60 us of a 1 ms step, so that the
-# reference runs' loss curves keep their bits.
+# fixed cost a call, against O(B P M).  One hinge call on unit rows, d = 16,
+# median thread time on one pinned CPU of a 2-vCPU VM, median of three runs,
+# grid / sort, for (N, K) PK batches: (4, 4) 36 / 78 us, (32, 4) 608 / 580 us,
+# (8, 6) 100 / 156 us, (8, 8) 153 / 157 us, (9, 9) 440 / 306 us, (10, 10)
+# 1.1 / 0.45 ms, (4, 32) 5.3 / 0.56 ms, (16, 16) 7.8 / 2.2 ms.  Even at P = 7, the sort leads from P = 8.
 _HINGE_SORT_MIN_P = 8
 
 
@@ -216,20 +220,20 @@ def _hinge_counts(v: np.ndarray, y: np.ndarray, lay: AnchorLayout):
     negative of either sign sorts past every threshold.  So k and c are the
     grid's sums on every input.
     """
-    width = v.shape[1]
+    width = v.shape[-1]
     one = np.uint64(1)
     keys = np.concatenate([
         np.where(lay.pos_mask & (v == v), v.view(np.uint64) << one, np.uint64(0)),
         np.where(lay.neg_mask, (y.view(np.uint64) << one) | one, np.uint64(np.iinfo(np.uint64).max)),
-    ], axis=1)
-    order = np.argsort(keys, axis=1)
+    ], axis=-1)
+    order = np.argsort(keys, axis=-1)
     is_neg = order >= width
-    negs_so_far = np.cumsum(is_neg, axis=1)
+    negs_so_far = np.cumsum(is_neg, axis=-1)
     # a threshold counts the negatives before it, a negative the thresholds after it
-    thresholds_after = negs_so_far + (width - 1 - np.arange(keys.shape[1]))
+    thresholds_after = negs_so_far + (width - 1 - np.arange(keys.shape[-1]))
     counts = np.empty_like(negs_so_far)
-    np.put_along_axis(counts, order, np.where(is_neg, thresholds_after, negs_so_far), axis=1)
-    return counts[:, :width], counts[:, width:]
+    np.put_along_axis(counts, order, np.where(is_neg, thresholds_after, negs_so_far), axis=-1)
+    return counts[..., :width], counts[..., width:]
 
 
 def _hinge(geo: BatchGeometry, cfg: LossConfig, ap: np.ndarray, an: np.ndarray):
@@ -238,22 +242,23 @@ def _hinge(geo: BatchGeometry, cfg: LossConfig, ap: np.ndarray, an: np.ndarray):
 
     The counts come from _hinge_counts from P = _HINGE_SORT_MIN_P on and from
     the grid below it; both give the same bits, and the values differ by rounding.
+    Both sum counted slots only (a non-finite v or an left inactive stays out).
     """
     lay = geo.layout
     v = cfg.margin + ap
-    if ap.shape[1] >= _HINGE_SORT_MIN_P:
+    if ap.shape[-1] >= _HINGE_SORT_MIN_P:
         k, c = _hinge_counts(v, an, lay)
-        # counted slots only, so a non-finite v or an the grid leaves inactive stays out
-        total = (k * v).sum(where=k > 0) - (c * an).sum(where=c > 0)
+        total = (k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0)
     else:
-        h = v[:, :, None] - an[:, None, :]
+        h = v[..., None] - an[..., None, :]
         active = (h > 0.0) & lay.grid
-        k, c = active.sum(axis=2), active.sum(axis=1)
-        # h[active] is in lexicographic (a, p, n) order, the order of the flat enumeration
-        total = h[active].sum()
-    n_non = int(k.sum())
-    denom = float(max(n_non if cfg.reduction == "mean_over_nonzero" else lay.n_triplets, 1))
-    return float(total / denom), k / denom, c / denom, n_non, lay.n_triplets
+        k, c = active.sum(axis=-1), active.sum(axis=-2)
+        # fmax zeroes every inactive h, NaN too, without branching on the mask
+        total = np.fmax(h, 0.0).sum(axis=(-3, -2, -1), where=lay.grid)
+    n_non = k.sum(axis=(-2, -1), keepdims=True)  # arrays, not scalars: NumPy's faster path
+    counted = n_non if cfg.reduction == "mean_over_nonzero" else np.full_like(n_non, lay.n_triplets)
+    denom = np.maximum(counted, 1.0)
+    return total / denom[..., 0, 0], k / denom, c / denom, int(n_non.sum()), lay.n_triplets * n_non.size
 
 
 # ---------------------------------------------------------------------------
@@ -296,34 +301,36 @@ def _simce_factors(scores: np.ndarray, g_ap: np.ndarray, g_an: np.ndarray, lay: 
     One shift c per batch, the midpoint of the score matrix's range, so every
     exponent of Ep = exp((c - g_ap) / T) and En = exp((g_an - c) / T), padded
     slots included (they hold diagonal scores), is at most half that range
-    over T.  None when there is no triplet or the range over T exceeds
+    over T.  A batch does not factor when the range over T exceeds
     _SIMCE_FACTOR_SPAN: raw scores at large norms, or a tiny temperature.
-    Cosines span at most 2, so they factor at every T >= 2 / 700.
+    Cosines span at most 2, so they factor at every T >= 2 / 700.  None when no batch
+    factors, else (ok, Ep, En): ok is ... when all do, else the mask of those that do.
     """
-    if not lay.n_triplets:
+    lo, hi = scores.min(axis=(-2, -1)), scores.max(axis=(-2, -1))
+    ok = (hi - lo) / temperature <= _SIMCE_FACTOR_SPAN  # <=, so NaN does not factor
+    factored = np.count_nonzero(ok) if lay.n_triplets else 0
+    if not factored:
         return None
-    lo, hi = scores.min(), scores.max()
-    if not (hi - lo) / temperature <= _SIMCE_FACTOR_SPAN:  # not <=, so NaN falls back too
-        return None
-    c = 0.5 * (lo + hi)
-    return (np.exp((c - g_ap) / temperature) * lay.pos_mask,
-            np.exp((g_an - c) / temperature) * lay.neg_mask)
+    ok = ... if factored == ok.size else ok
+    c = (0.5 * (lo + hi))[ok][..., None, None]
+    return (ok, np.exp((c - g_ap[ok]) / temperature) * lay.pos_mask,
+            np.exp((g_an[ok] - c) / temperature) * lay.neg_mask)
 
 
 def _simce_direct(g_ap: np.ndarray, g_an: np.ndarray, grid: np.ndarray, temperature: float):
     """Sum of softplus(z) over the grid, and sigmoid(z) on it summed over its negatives
     (B, P) and over its positives (B, M), from e = exp(-|z|), which cannot overflow:
     the fallback of the factored form."""
-    z = (g_an[:, None, :] - g_ap[:, :, None]) / temperature
+    z = (g_an[..., None, :] - g_ap[..., None]) / temperature
     e = np.exp(-np.abs(z))
-    total = (np.maximum(z, 0.0) + np.log1p(e)).sum(where=grid)
+    total = (np.maximum(z, 0.0) + np.log1p(e)).sum(axis=(-3, -2, -1), where=grid)
     lam = np.where(grid, np.where(z >= 0.0, 1.0, e) / (1.0 + e), 0.0)
-    return total, lam.sum(axis=2), lam.sum(axis=1)
+    return total, lam.sum(axis=-1), lam.sum(axis=-2)
 
 
-# Most (rows, P, M) grid elements the factored simce takes in one pass: its
-# two slabs of doubles, 512 KB, stay in L2, where the (16, 16) grid, 7.4 MB,
-# would stream from memory on every pass.
+# Most (rows, P, M) grid elements the factored simce takes in one pass, over
+# the whole stack: its two slabs of doubles, 512 KB, stay in L2, where the
+# (16, 16) grid, 7.4 MB, would stream from memory on every pass.
 _SIMCE_BLOCK_ELEMS = 32768
 
 
@@ -332,26 +339,27 @@ def _simce_slab(e_p: np.ndarray, e_n: np.ndarray):
     its negatives (rows, P) and over its positives (rows, M)."""
     # u = exp(z), 0 off the grid: softplus(z) = log1p(u) and sigmoid(z) =
     # u / (1 + u), written into u and one more grid-sized buffer
-    u = e_p[:, :, None] * e_n[:, None, :]
+    u = e_p[..., None] * e_n[..., None, :]
     buf = np.log1p(u)
-    total = buf.sum()
+    total = buf.sum(axis=(-3, -2, -1))
     lam = np.divide(u, np.add(u, 1.0, out=buf), out=u)
-    return total, lam.sum(axis=2), lam.sum(axis=1)
+    return total, lam.sum(axis=-1), lam.sum(axis=-2)
 
 
 def _simce_blocks(e_p: np.ndarray, e_n: np.ndarray):
-    """_simce_slab over blocks of anchors of at most _SIMCE_BLOCK_ELEMS grid elements
-    (one anchor a block when its grid is larger).
+    """_simce_slab over blocks of anchors (axis -2) of at most _SIMCE_BLOCK_ELEMS grid
+    elements over the stack (one anchor a block when its grid is larger).
 
     Each anchor's sums are the same bits whatever the block; the total only
     moves by rounding.
     """
-    rows = max(1, _SIMCE_BLOCK_ELEMS // (e_p.shape[1] * e_n.shape[1]))
-    if rows >= e_p.shape[0]:  # no loop for one block: its ~3 us a call is 2% of a verify gradcheck batch
+    rows = max(1, _SIMCE_BLOCK_ELEMS // (math.prod(e_p.shape[:-2]) * e_p.shape[-1] * e_n.shape[-1]))
+    if rows >= e_p.shape[-2]:  # no loop for one block
         return _simce_slab(e_p, e_n)
     total, lam_p, lam_n = 0.0, np.empty_like(e_p), np.empty_like(e_n)
-    for a in range(0, e_p.shape[0], rows):
-        part, lam_p[a:a + rows], lam_n[a:a + rows] = _simce_slab(e_p[a:a + rows], e_n[a:a + rows])
+    for a in range(0, e_p.shape[-2], rows):
+        block = np.s_[..., a:a + rows, :]
+        part, lam_p[block], lam_n[block] = _simce_slab(e_p[block], e_n[block])
         total += part
     return total, lam_p, lam_n
 
@@ -362,48 +370,53 @@ def _simce(geo: BatchGeometry, cfg: LossConfig):
     g_ap, g_an = geo.blocks(scores)
     n_total = lay.n_triplets
     factors = _simce_factors(scores, g_ap, g_an, lay, cfg.temperature)
-    total, lam_p, lam_n = (_simce_direct(g_ap, g_an, lay.grid, cfg.temperature) if factors is None
-                           else _simce_blocks(*factors))
+    if factors is not None and factors[0] is ...:
+        total, lam_p, lam_n = _simce_blocks(*factors[1:])
+    else:  # each batch of a stack takes the form its own call takes
+        total, lam_p, lam_n = _simce_direct(g_ap, g_an, lay.grid, cfg.temperature)
+        if factors is not None:
+            total[factors[0]], lam_p[factors[0]], lam_n[factors[0]] = _simce_blocks(*factors[1:])
     scale = cfg.temperature * max(n_total, 1)
     grad = geo.score_grad(geo.coefficients(-lam_p / scale, lam_n / scale), cfg)
-    return float(total / max(n_total, 1)), grad, n_total, n_total
+    return total / max(n_total, 1), grad, n_total * geo.copies, n_total * geo.copies
 
 
 def _m_simce(geo: BatchGeometry, cfg: LossConfig):
     lay = geo.layout
     n_pairs = lay.n_pairs
     if n_pairs == 0:
-        return 0.0, np.zeros_like(geo.batch.data), 0, 0
+        return np.zeros(geo.batch.data.shape[:-2]), np.zeros_like(geo.batch.data), 0, 0
     g_ap, g_an = geo.blocks(geo.scores(cfg))
     sp = g_ap / cfg.temperature
     # every anchor has a negative here: positives exist, so two classes do
     sn = np.where(lay.neg_mask, g_an / cfg.temperature, -np.inf)
-    shift_a = sn.max(axis=1, keepdims=True)
+    shift_a = sn.max(axis=-1, keepdims=True)
     e_sn = np.exp(sn - shift_a)
     shift = np.maximum(sp, shift_a)
     e_sp = np.exp(sp - shift)
     rescale = np.exp(shift_a - shift)
-    total = e_sp + rescale * e_sn.sum(axis=1, keepdims=True)
+    total = e_sp + rescale * e_sn.sum(axis=-1, keepdims=True)
     per_pair = np.log(total) + shift - sp
-    value = float(per_pair[lay.pos_mask].sum() / n_pairs)
+    value = per_pair[..., lay.pos_mask].sum(axis=-1) / n_pairs
     scale = cfg.temperature * n_pairs
     c_pos = np.where(lay.pos_mask, e_sp / total - 1.0, 0.0) / scale
-    c_neg = e_sn * np.where(lay.pos_mask, rescale / total, 0.0).sum(axis=1, keepdims=True) / scale
+    c_neg = e_sn * np.where(lay.pos_mask, rescale / total, 0.0).sum(axis=-1, keepdims=True) / scale
     grad = geo.score_grad(geo.coefficients(c_pos, c_neg), cfg)
-    return value, grad, n_pairs, n_pairs
+    return value, grad, n_pairs * geo.copies, n_pairs * geo.copies
 
 
 def _ce(batch: EmbeddingBatch, head: ClassifierHead):
     X, y, b = batch.data, batch.labels, batch.size
     logits = X @ head.weight.T + head.bias
-    shift = logits.max(axis=1, keepdims=True)
-    log_z = shift + np.log(np.exp(logits - shift).sum(axis=1, keepdims=True))
+    shift = logits.max(axis=-1, keepdims=True)
+    log_z = shift + np.log(np.exp(logits - shift).sum(axis=-1, keepdims=True))
     log_prob = logits - log_z
-    value = float(-log_prob[np.arange(b), y].mean())
+    rows, n = np.arange(b), math.prod(X.shape[:-1])
+    value = -log_prob[..., rows, y].mean(axis=-1)
     dlogits = np.exp(log_prob)
-    dlogits[np.arange(b), y] -= 1.0
+    dlogits[..., rows, y] -= 1.0
     dlogits /= b
-    return value, dlogits @ head.weight, b, b, dlogits.T @ X, dlogits.sum(axis=0)
+    return value, dlogits @ head.weight, n, n, dlogits.swapaxes(-1, -2) @ X, dlogits.sum(axis=-2)
 
 
 def _check_head(batch: EmbeddingBatch, head: ClassifierHead) -> None:

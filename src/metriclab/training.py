@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -235,6 +236,11 @@ class TrainConfig:
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise InvalidConfigError(f"{name} must be >= {least}, got {value}")
+        for name in ("init_scale", "lr0", "lr_min", "momentum", "weight_decay", "holdout_fraction",
+                     "uniformity_t"):  # each float field; its range is checked below
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidConfigError(f"{name} must be a finite real number, got {value!r}")
         if self.init_scale <= 0.0:
             raise InvalidConfigError(f"init_scale must be > 0, got {self.init_scale}")
         if not 0.0 < self.holdout_fraction < 1.0:

@@ -5,12 +5,13 @@ path, a value that forces the fast path on every layout and one that forces
 the reference path it stands in for, where the default takes the fast path,
 how to see that it did, and the path's promise: bit-identical counts and
 gradients, or values within the bound the code states.  Every row runs over
-every layout of ``LAYOUTS``, sizes on both sides of every crossover, and on
+every layout of ``LAYOUTS``, sizes on both sides of every crossover (a kernel
+may skip layouts its reference path makes too slow), and on
 each the forced fast run keeps the promise against the forced reference run;
 the default run is the reference run bit for bit short of the crossover, and
 past it keeps the promise and took the fast path: it is the forced fast run
 bit for bit or, where forcing changes the fast path's own shape (simce's
-anchor blocks), a spy counts its calls; and, on the label layouts the row
+anchor blocks, batch_gradcheck's blocks of copies), a spy counts its calls; and, on the label layouts the row
 names, the default run agrees with the loop oracles of ``loop_oracles.py``;
 one test case per row and labelling, so a failure names both.  Across all layouts, a second test per row checks that
 past the crossover every call leaves the reference run's bits on some
@@ -25,10 +26,10 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from metriclab import ClassifierHead, LossConfig, core, losses
+from metriclab import ClassifierHead, LossConfig, analysis, core, losses
 from metriclab.batching import anchor_layout
 from metriclab.core import _unchecked_batch
-from metriclab.errors import NonFiniteError
+from metriclab.errors import EvaluationError, NonFiniteError
 from metriclab.losses import REDUCTIONS
 
 from loop_oracles import brute_loss, central_differences, hinge_args, loop_dist
@@ -129,6 +130,49 @@ def _losses(calls):
     return kernel
 
 
+def _gradcheck_copies(layout):
+    """Perturbed copies a default batch_gradcheck puts in one loss call on the layout."""
+    size, dim = layout.data.shape
+    per_copy = max(size * size * dim, anchor_layout(layout.labels).grid.size)
+    return max(1, analysis._GRADCHECK_BLOCK_ELEMS // per_copy)
+
+
+def _gradchecks(layout):
+    """{loss: [error, loss calls, largest |value| of a call, largest |analytic gradient
+    entry|]} of batch_gradcheck, default LossConfig, or the message of the error it raised.
+
+    Each check counts its loss calls (the spy of the stacked-gradcheck row), so
+    a stacked check differs from the reference in its call count even where
+    its values keep the reference's bits, as the hinge losses' do (see the
+    stacked-call test of test_losses.py).  The reference path makes two loss calls per coordinate, so the row keeps
+    to batches of at most 256 coordinates: every kind up to 64, the Gaussian
+    kind above; every loss up to 32 rows, and the plain hinge on pk-8x9, the
+    one layout past the crossover.
+    """
+    rows, coordinates = layout.labels.size, layout.data.size
+    if coordinates > 256 or coordinates > 64 and layout.kind != "gauss":
+        return {}
+    head = ClassifierHead.init(np.random.default_rng(0), int(layout.labels.max()) + 1,
+                               layout.data.shape[1])
+    out = {}
+    for name in ("triplet",) if rows > 32 else losses.LOSSES:
+        seen = []
+
+        def spy(batch):
+            seen.append(losses.LOSSES[name](batch, LossConfig(), head))
+            return seen[-1]
+
+        with np.errstate(all="ignore"):
+            try:
+                error = analysis.batch_gradcheck(spy, _unchecked_batch(layout.data, layout.labels))
+            except (EvaluationError, NonFiniteError) as exc:
+                out[name] = str(exc)
+                continue
+        out[name] = np.array([error, len(seen), max(np.abs(r.value).max() for r in seen),
+                              np.abs(seen[0].grad).max()])
+    return out
+
+
 def _bits(out):
     if isinstance(out, losses.LossResult):
         return np.float64(out.value).tobytes(), out.grad.tobytes(), out.n_non, out.n_total
@@ -172,6 +216,26 @@ def _within_1e13(fast, slow, layout):
     np.testing.assert_allclose(fast.grad, slow.grad, rtol=0.0, atol=1e-13 * np.abs(slow.grad).max())
 
 
+def _same_verdict_and_error_within_rounding(fast, slow, layout):
+    """The same verdict at 1e-6, and errors within 3 s / (A - s) of each other, s =
+    (2 n + 6) eps F / h, n = max(B P M, B), F the largest |value| of either
+    check, A the largest |analytic gradient entry|, h = 1e-5 batch_gradcheck's step.
+
+    A stacked value is within (2 n + 4) eps of its copy's own call, relative
+    (the stacked-call test of test_losses.py derives this), so a central
+    difference moves by at most 2 (2 n + 4) eps F / 2h, plus its subtraction's
+    and division's rounding on both sides, 2 eps F / h: s in all.  The error
+    e = |a - num| / max(A, |num|), with e <= 2, then moves by at most
+    (1 + e) s / (A - s).
+    """
+    verdicts = [error <= 1e-6 for error in (fast[0], slow[0])]
+    assert verdicts[0] == verdicts[1]
+    n = max(anchor_layout(layout.labels).grid.size, layout.labels.size)
+    s = (2 * n + 6) * EPS * max(fast[2], slow[2]) / 1e-5
+    a = fast[3] - s
+    assert fast[0] == slow[0] or (a > 0.0 and abs(fast[0] - slow[0]) <= 3.0 * s / a)
+
+
 # ---------------------------------------------------------------------------
 # past the crossover, (fast, default, layout, call) -> None: the default took the fast path
 
@@ -197,6 +261,15 @@ def _simce_slabs_of_the_block_rule(fast, default, layout, call):
     n_rows, p, m = anchor_layout(layout.labels).grid.shape
     rows = max(1, losses._SIMCE_BLOCK_ELEMS // (p * m))
     assert slabs == -(-n_rows // rows), f"{slabs} simce slabs, the block rule makes {-(-n_rows // rows)}"
+
+
+def _stacked_loss_calls(fast, default, layout, call):
+    """The default check called the loss on the base batch and then once per block of
+    the block rule's copies on each side: 1 + 2 ceil(B D / copies) calls.  A check
+    that stopped at the base batch made no block call to count."""
+    if not isinstance(default, str):
+        blocks = -(-layout.data.size // _gradcheck_copies(layout))
+        assert default[1] == 1 + 2 * blocks, f"{default[1]:.0f} loss calls, the block rule makes {1 + 2 * blocks}"
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +369,10 @@ PATHS = {
         lambda layout, call: (_factored(layout, call) and
                               anchor_layout(layout.labels).grid.size > losses._SIMCE_BLOCK_ELEMS),
         _simce_slabs_of_the_block_rule, _same_counts_and_gradient_bits(1e-13), _simce_oracle, ("pk-8x9",)),
+    "stacked-gradcheck": FastPath(
+        analysis, "_GRADCHECK_BLOCK_ELEMS", 2**62, 1, _gradchecks,
+        lambda layout, call: _gradcheck_copies(layout) > 1,
+        _stacked_loss_calls, _same_verdict_and_error_within_rounding, lambda *args: None, ()),
 }
 
 

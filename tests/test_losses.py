@@ -30,9 +30,12 @@ from metriclab import (
     triplet_loss,
     weight_from_sim,
 )
+from metriclab.batching import anchor_layout
+from metriclab.core import _unchecked_batch
 from metriclab.errors import InvalidConfigError, InvalidLabelError, NoNegativesError, NonFiniteError
-from metriclab.losses import COMBINED_VARIANTS, REDUCTIONS
+from metriclab.losses import COMBINED_VARIANTS, LOSSES, REDUCTIONS
 
+from test_fast_paths import _LABELS, LAYOUTS
 from loop_oracles import (
     brute_loss,
     brute_triplets,
@@ -723,3 +726,99 @@ def test_simce_matches_the_loop_oracle_at_every_temperature(temperature, drawn, 
     numeric = central_differences(lambda d: brute_loss("simce", d, labels, cfg)[0], data)
     scale = max(1.0, float(np.abs(numeric).max()))
     np.testing.assert_allclose(result.grad, numeric, rtol=0.0, atol=1e-6 * scale)
+
+
+# ---------------------------------------------------------------------------
+# row-wise stacks: one call on a (k, B, D) stack against the loop of its k
+# 2-D calls, for every LOSSES entry
+
+
+EPS = np.finfo(np.float64).eps
+# raw scores at T = 1 and 0.05 (where the 8x batches of _stacks stop factoring) and cosines
+_STACK_CONFIGS = (LossConfig(), LossConfig(temperature=0.05),
+                  LossConfig(margin=1.0, reduction="mean_over_all", normalize_for_simce=True,
+                             detach_similarity=True))
+
+
+def _loss_or_none(name, cfg, data, labels, head):
+    with np.errstate(all="ignore"):
+        try:
+            return LOSSES[name](_unchecked_batch(data, labels), cfg, head)
+        except NonFiniteError:
+            return None
+
+
+def _check_stack_against_loop(stack, labels):
+    """The stacked call raises NonFiniteError exactly when some batch's own call
+    does; on the batches whose calls return, its counters are the sums of
+    theirs, its gradients and head gradients are their bits, and each value
+    is within (2 n + 4) eps |value| of theirs, n = max(B P M, B).
+
+    The bound: per batch, a stacked call makes the 2-D call's operations on
+    operands of the same memory layout (elementwise maps, reductions along
+    one trailing axis, one matrix product per batch, the geometry blocks
+    taken C-ordered at the same offsets), so its counters, gradients and
+    hinge values keep the 2-D bits.  Three values may add their terms in
+    another order: simce sizes its anchor blocks for the whole stack, and
+    m_simce and ce gather theirs by fancy indexing, which lays a stack's axis
+    innermost.  Each adds at most n nonnegative terms (softplus terms, per-pair
+    and per-row negative log-likelihoods), and each order of such a sum is
+    within (n - 1) eps of the exact sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 4.2), so two orders differ by at most
+    2 (n - 1) eps times the sum.  Dividing by the term count and adding a
+    combined loss's other terms, nonnegative too, round each of the two sides
+    at most 3 times more, by eps |value| each.
+    """
+    head = ClassifierHead.init(np.random.default_rng(0), int(labels.max()) + 1, stack.shape[-1])
+    n = max(anchor_layout(labels).grid.size, labels.size)
+    for name in LOSSES:
+        for cfg in _STACK_CONFIGS:
+            where = f"{name} on {cfg}"
+            loop = [_loss_or_none(name, cfg, data, labels, head) for data in stack]
+            returned = [i for i, result in enumerate(loop) if result is not None]
+            stacked = _loss_or_none(name, cfg, stack, labels, head)
+            assert (stacked is None) == (len(returned) < len(loop)), where
+            if not returned:
+                continue
+            stacked = _loss_or_none(name, cfg, stack[returned], labels, head)
+            loop = [loop[i] for i in returned]
+            assert stacked.n_non == sum(r.n_non for r in loop), where
+            assert stacked.n_total == sum(r.n_total for r in loop), where
+            values = np.array([r.value for r in loop])
+            assert np.all(np.abs(stacked.value - values) <= (2 * n + 4) * EPS * np.abs(values)), where
+            for field in ("grad", "head_grad_weight", "head_grad_bias"):
+                if getattr(loop[0], field) is None:
+                    assert getattr(stacked, field) is None, where
+                else:
+                    got, want = getattr(stacked, field), np.stack([getattr(r, field) for r in loop])
+                    assert got.tobytes() == want.tobytes(), f"{where}: {field}"
+
+
+@pytest.mark.parametrize("labelling", [labelling for labelling, _, _ in _LABELS])
+def test_stacked_calls_agree_with_the_loop_of_their_batches(labelling):
+    """The fast-path table's layouts of one labelling as one stack: every data
+    kind (ties, close pairs, huge norms, NaN, offset and wide-spanning scores)
+    side by side, so batches of one stack take different paths, and the 32-
+    and 72-row stacks take the Gram distances."""
+    stack = np.stack([layout.data for layout in LAYOUTS if layout.labelling == labelling])
+    _check_stack_against_loop(stack, next(layout.labels for layout in LAYOUTS
+                                          if layout.labelling == labelling))
+
+
+@st.composite
+def _stacks(draw):
+    """Shuffled labels of 2 to 5 classes of 1 to 4 rows (singletons and no-pair
+    batches included) and a stack of 1 to 4 batches, some with raw scores
+    spanning past simce's factoring range at T = 0.05."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    k, dim = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    scale = np.array(draw(st.lists(st.sampled_from([1.0, 8.0]), min_size=k, max_size=k)))
+    return rng.standard_normal((k, labels.size, dim)) * scale[:, None, None], labels
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(drawn=_stacks())
+def test_stacked_calls_agree_with_the_loop_on_arbitrary_layouts(drawn):
+    _check_stack_against_loop(*drawn)

@@ -7,6 +7,7 @@ coordinate; the optimizer against a frozen two-step hand trace.
 """
 
 import json
+import math
 import re
 
 import numpy as np
@@ -384,6 +385,22 @@ class TestTrainConfig:
         fractional eval schedule; a boolean seed trained as seed 1."""
         with pytest.raises(InvalidConfigError, match=re.escape(f"{field} must be an integer, got {value!r}")):
             _small_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("uniformity_t", math.inf), ("lr0", math.nan),
+                                              ("lr_min", math.nan), ("weight_decay", math.inf),
+                                              ("init_scale", True), ("momentum", False),
+                                              ("init_scale", "1"), ("holdout_fraction", None)])
+    def test_float_fields_refuse_non_finite_boolean_and_non_real_values(self, field, value):
+        """An infinite uniformity_t trained with nan in every uniformity cell, a
+        nan lr0 diverged at iteration 1, a boolean init_scale trained as 1.0 and
+        a string one ended in a TypeError; each is refused where it is set."""
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"{field} must be a finite real number, got {value!r}")):
+            _small_config(**{field: value})
+
+    def test_float_fields_take_integers_and_numpy_floats(self):
+        config = _small_config(init_scale=1, lr0=np.float64(0.1), uniformity_t=np.float32(2.0))
+        assert config.init_scale == 1 and config.uniformity_t == 2.0
 
     def test_integer_fields_take_numpy_integers(self):
         ints = dict(total_iters=6, eval_interval=3, seed=1, embed_dim=4, hidden_dim=5)
