@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from .batching import BatchSpec, anchor_layout
 from .core import EmbeddingBatch, _unchecked_batch
-from .errors import EvaluationError, InvalidConfigError, SingularityError
+from .errors import EvaluationError, InvalidConfigError, SingularityError, _check_fields
 from .losses import BatchGeometry
 
 
@@ -38,7 +38,8 @@ class RobustnessProbe:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0.0:
+        _check_fields(self, least={"seed": 0})
+        if self.epsilon <= 0.0:
             raise InvalidConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.n_samples < 2 or self.n_samples % 2:
             raise InvalidConfigError(

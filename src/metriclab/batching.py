@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, InvalidConfigError, NoNegativesError
+from .errors import CapacityError, InvalidConfigError, NoNegativesError, _check_fields, _int_labels
 
 
 @dataclass(frozen=True)
@@ -27,16 +27,8 @@ class BatchSpec:
     samples_per_class: int
 
     def __post_init__(self):
-        if int(self.n_classes) != self.n_classes or self.n_classes < 2:
-            raise InvalidConfigError(
-                f"n_classes must be an integer >= 2 (no negatives exist otherwise), got {self.n_classes}"
-            )
-        if int(self.samples_per_class) != self.samples_per_class or self.samples_per_class < 2:
-            raise InvalidConfigError(
-                f"samples_per_class must be an integer >= 2 (no positives exist otherwise), got {self.samples_per_class}"
-            )
-        object.__setattr__(self, "n_classes", int(self.n_classes))
-        object.__setattr__(self, "samples_per_class", int(self.samples_per_class))
+        # one class leaves no negatives, one sample per class no positives
+        _check_fields(self, least={"n_classes": 2, "samples_per_class": 2})
 
     @property
     def batch_size(self) -> int:
@@ -174,8 +166,7 @@ def anchor_layout(labels) -> AnchorLayout:
     Raises NoNegativesError when positives exist but the batch holds only
     one class.  A batch with no same-class pair at all has P == 0.
     """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    return _anchor_layout_cached(_canonical_key(labels))
+    return _anchor_layout_cached(_canonical_key(_int_labels(labels)))
 
 
 def enumerate_triplets(labels) -> TripletIndexSet:
@@ -219,7 +210,7 @@ def pk_index(labels, spec: BatchSpec) -> PKIndex:
     Raises CapacityError when fewer than ``spec.n_classes`` classes exist,
     or fewer than that many have enough rows.
     """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = _int_labels(labels)
     classes, counts = np.unique(labels, return_counts=True)
     if classes.size < spec.n_classes:
         raise CapacityError(

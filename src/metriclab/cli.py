@@ -120,28 +120,24 @@ class ExperimentConfig:
         sections = (("dataset", DatasetSpec), ("batch", BatchSpec), ("loss", LossConfig))
         dataset, batch, loss = (_build_section(c, payload.get(name), name, path) for name, c in sections)
         loss, train = loss or LossConfig(), payload.get("train")
-        missing = [name for name, section in (("dataset", dataset), ("batch", batch)) if section is None]
-        if missing and train is not None:
-            raise InvalidConfigError(f"{path}: config has no {missing[0]!r} section, which 'train' needs")
-        if not missing:  # built before any command runs, so a bad value fails first; a null section is empty
+        # built before any command runs, so a bad value fails first; a null or absent section is empty
+        if train is not None or (dataset is not None and batch is not None):
+            _require("train", dataset=dataset, batch=batch)
             train = _build_section(TrainConfig, {} if train is None else train, "train", path,
                                    dataset=dataset, batch=batch, loss=loss, seed=seed)
         return cls(seed=seed, dataset=dataset, batch=batch, loss=loss, train=train, raw_payload=payload)
 
-    def train_config(self) -> TrainConfig:
-        if self.dataset is None or self.batch is None:
-            raise InvalidConfigError("training needs both a 'dataset' and a 'batch' section")
-        return self.train
 
-
-# the JSON value types a field of each declared type takes (a JSON boolean is no number)
-_FIELD_TYPES = {"int": ({int}, "an integer"), "int | None": ({int, type(None)}, "an integer or null"),
-                "float": ({int, float}, "a number"), "str": ({str}, "a string"), "bool": ({bool}, "a boolean")}
+def _require(command: str, **sections) -> None:
+    """Refuse a config without one of ``sections``, which ``command`` needs."""
+    missing = [name for name, section in sections.items() if section is None]
+    if missing:
+        raise InvalidConfigError(f"config has no {missing[0]!r} section, which {command!r} needs")
 
 
 def _build_section(cls, section, name, path, **own):
     """cls(**section, **own), the section's keys checked against cls's fields less ``own``:
-    known, present when required, of the declared type.  Errors name the file and section."""
+    known and present when required; cls checks the values.  Errors name the file and section."""
     if section is None:
         return None
     where = f"{path}: config section {name!r}"
@@ -152,11 +148,8 @@ def _build_section(cls, section, name, path, **own):
     if unknown:
         raise InvalidConfigError(f"{where}: unknown key {unknown[0]!r}")
     for f in fields:
-        value = section.get(f.name, f.default)
-        if value is dataclasses.MISSING:
+        if section.get(f.name, f.default) is dataclasses.MISSING:
             raise InvalidConfigError(f"{where}: missing key {f.name!r}")
-        if type(value) not in _FIELD_TYPES[f.type][0]:
-            raise InvalidConfigError(f"{where}: {f.name} must be {_FIELD_TYPES[f.type][1]}, got {json.dumps(value)}")
     try:
         return cls(**section, **own)
     except ValueError as exc:
@@ -393,8 +386,7 @@ def _data_command(fn):
 
 
 def _gen_data(config, args):
-    if config.dataset is None:
-        raise InvalidConfigError("config has no 'dataset' section")
+    _require("gen-data", dataset=config.dataset)
     dataset = gen_dataset(config.dataset)
     return ({"dataset.csv": partial(write_dataset_csv, dataset)},
             f"gen-data: wrote {dataset.n_samples} rows of dim {dataset.dim} "
@@ -402,7 +394,8 @@ def _gen_data(config, args):
 
 
 def _train(config, args):
-    train_cfg = config.train_config()
+    _require("train", dataset=config.dataset, batch=config.batch)
+    train_cfg = config.train
     total = train_cfg.total_iters
     marks = {"start": 0, "mid": total // 2, "end": total}
     report, model, _, _, snapshots = run_training(train_cfg, marks.values())
@@ -415,7 +408,8 @@ def _train(config, args):
 
 
 def _eval(config, args):
-    train_cfg = config.train_config()
+    _require("eval", dataset=config.dataset, batch=config.batch)
+    train_cfg = config.train
     model = load_model(args.model)
     dataset = gen_dataset(train_cfg.dataset)
     _, gallery_rows, probe_rows = split_rows(train_cfg, dataset.labels)
@@ -427,8 +421,7 @@ def _eval(config, args):
 
 
 def _export_sim(config, args):
-    if config.dataset is None or config.batch is None:
-        raise InvalidConfigError("export-sim needs 'dataset' and 'batch' sections")
+    _require("export-sim", dataset=config.dataset, batch=config.batch)
     dataset = gen_dataset(config.dataset)
     rows = snapshot_rows(config.seed, config.batch, dataset.labels)
     data = dataset.features[rows]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateVectorError, DimensionMismatchError, NonFiniteError
+from .errors import DegenerateVectorError, DimensionMismatchError, NonFiniteError, _int_labels
 
 SIM_KINDS = ("cosine", "cosine_over_max")
 
@@ -24,7 +24,7 @@ class EmbeddingBatch:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2:
             raise DimensionMismatchError(f"embedding data must be 2-D, got shape {data.shape}")
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labels = _int_labels(self.labels)
         if labels.shape[0] != data.shape[0]:
             raise DimensionMismatchError(
                 f"{labels.shape[0]} labels for {data.shape[0]} embedding rows"

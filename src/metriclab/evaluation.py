@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmbeddingBatch, _pairwise_dist, _unit_rows, similarity_matrix, write_sim_matrix_csv
-from .errors import DegenerateConcentrationError, DimensionMismatchError, NonFiniteError
+from .errors import DegenerateConcentrationError, DimensionMismatchError, NonFiniteError, _int_labels
 from .synth import estimate_kappa
 
 METRICS = ("euclidean", "cosine")
@@ -27,8 +27,7 @@ class GalleryProbeSplit:
     def __post_init__(self):
         gallery = np.asarray(self.gallery, dtype=np.float64)
         probe = np.asarray(self.probe, dtype=np.float64)
-        g_labels = np.asarray(self.gallery_labels, dtype=np.int64).reshape(-1)
-        p_labels = np.asarray(self.probe_labels, dtype=np.int64).reshape(-1)
+        g_labels, p_labels = _int_labels(self.gallery_labels), _int_labels(self.probe_labels)
         if gallery.ndim != 2 or probe.ndim != 2:
             raise DimensionMismatchError("gallery and probe must be 2-D")
         if gallery.shape[0] == 0 or probe.shape[0] == 0:
@@ -117,7 +116,7 @@ def variance_ratio(embeddings, labels) -> VarianceStats:
     degenerate rather than silently shrinking the intra mean to zero first.
     """
     X = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    y = _int_labels(labels)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise DimensionMismatchError("embeddings and labels disagree")
     classes = np.unique(y)

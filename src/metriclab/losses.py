@@ -26,6 +26,7 @@ from .errors import (
     InvalidConfigError,
     InvalidLabelError,
     NonFiniteError,
+    _check_fields,
 )
 
 REDUCTIONS = ("mean_over_nonzero", "mean_over_all")
@@ -51,9 +52,8 @@ class LossConfig:
     detach_similarity: bool = False
 
     def __post_init__(self):
-        if not np.isfinite(self.margin) or self.margin < 0.0:
-            raise InvalidConfigError(f"margin must be finite and >= 0, got {self.margin}")
-        if not np.isfinite(self.temperature) or self.temperature <= 0.0:
+        _check_fields(self, least={"margin": 0})
+        if self.temperature <= 0.0:
             raise InvalidConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.reduction not in REDUCTIONS:
             raise InvalidConfigError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")

@@ -17,11 +17,8 @@ import numpy as np
 from scipy import special
 
 from .core import _write_csv
-from .errors import (
-    DegenerateConcentrationError,
-    DimensionMismatchError,
-    InvalidSpecError,
-)
+from .errors import (DegenerateConcentrationError, DimensionMismatchError, InvalidSpecError, _check_fields,
+                     _int_labels)
 
 
 @dataclass(frozen=True)
@@ -37,8 +34,7 @@ class VmfParams:
             raise DimensionMismatchError(f"direction must have dim >= 2, got {mu.size}")
         if abs(float(np.linalg.norm(mu)) - 1.0) > 1e-9:
             raise ValueError("mu must be a unit vector")
-        if not np.isfinite(self.kappa) or self.kappa < 0.0:
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        _check_fields(self, least={"kappa": 0}, error=ValueError)
         object.__setattr__(self, "mu", mu)
 
     @property
@@ -133,18 +129,9 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_classes", "subclusters_per_class", "samples_per_subcluster"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise InvalidSpecError(f"{name} must be an integer >= 1, got {v}")
-            object.__setattr__(self, name, int(v))
-        if int(self.input_dim) != self.input_dim or self.input_dim < 2:
-            raise InvalidSpecError(f"input_dim must be an integer >= 2, got {self.input_dim}")
-        object.__setattr__(self, "input_dim", int(self.input_dim))
-        for name in ("class_kappa", "subcluster_kappa"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0.0:
-                raise InvalidSpecError(f"{name} must be finite and >= 0, got {v}")
+        _check_fields(self, least={"n_classes": 1, "subclusters_per_class": 1, "samples_per_subcluster": 1,
+                                   "input_dim": 2, "class_kappa": 0, "subcluster_kappa": 0, "seed": 0},
+                      error=InvalidSpecError)
         if self.subcluster_kappa < self.class_kappa:
             raise InvalidSpecError(
                 "subcluster_kappa must be >= class_kappa (subclusters sit inside classes)"
@@ -153,10 +140,6 @@ class DatasetSpec:
             raise InvalidSpecError(f"noise_fraction must be in [0, 1), got {self.noise_fraction}")
         if self.noise_fraction > 0.0 and self.n_classes < 2:
             raise InvalidSpecError("noise needs at least 2 classes to borrow a wrong one from")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise InvalidSpecError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_samples(self) -> int:
@@ -177,7 +160,7 @@ class SynthDataset:
         if feats.ndim != 2:
             raise DimensionMismatchError(f"features must be 2-D, got {feats.shape}")
         n = feats.shape[0]
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labels = _int_labels(self.labels)
         subs = np.asarray(self.subclusters, dtype=np.int64).reshape(-1)
         flags = np.asarray(self.noise_flags, dtype=bool).reshape(-1)
         if not (labels.size == subs.size == flags.size == n):

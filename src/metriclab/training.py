@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,8 @@ import numpy as np
 from . import batching
 from .batching import BatchSpec, pk_index, sample_pk
 from .core import EmbeddingBatch, _unchecked_batch, _write_csv
-from .errors import DimensionMismatchError, DivergenceError, InvalidConfigError, NonFiniteError
+from .errors import (DimensionMismatchError, DivergenceError, InvalidConfigError, NonFiniteError,
+                     _check_fields, _int_labels)
 from .evaluation import METRICS, GalleryProbeSplit, GeometryReport, build_geometry_report, rank1
 from .losses import LOSSES, ClassifierHead, LossConfig
 from .synth import DatasetSpec, gen_dataset
@@ -158,10 +158,9 @@ class OptimState:
     buffer: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_fields(self, least={"weight_decay": 0})
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise InvalidConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 def sgd_update(param: np.ndarray, grad: np.ndarray, state: OptimState, lr: float) -> None:
@@ -170,7 +169,7 @@ def sgd_update(param: np.ndarray, grad: np.ndarray, state: OptimState, lr: float
     g = grad + weight_decay * param; buf = momentum * buf + g;
     param -= lr * buf.  The buffer appears on first use.
     """
-    if lr < 0.0:
+    if not lr >= 0.0:  # a NaN fails it too
         raise InvalidConfigError(f"lr must be >= 0, got {lr}")
     if grad.shape != param.shape:
         raise DimensionMismatchError(
@@ -189,7 +188,7 @@ def cosine_lr(step: int, total_iters: int, lr0: float = 0.1, lr_min: float = 1e-
         raise InvalidConfigError(f"total_iters must be >= 1, got {total_iters}")
     if not 0 <= step <= total_iters:
         raise ValueError(f"step {step} outside [0, {total_iters}]")
-    if lr0 <= 0.0 or lr_min < 0.0 or lr_min > lr0:
+    if not (lr0 > 0.0 and 0.0 <= lr_min <= lr0):  # a NaN fails it too
         raise InvalidConfigError(f"need 0 <= lr_min <= lr0 and lr0 > 0, got lr0={lr0} lr_min={lr_min}")
     return lr_min + (lr0 - lr_min) * (1.0 + math.cos(math.pi * step / total_iters)) / 2.0
 
@@ -220,27 +219,15 @@ class TrainConfig:
         for name, cls in (("dataset", DatasetSpec), ("batch", BatchSpec), ("loss", LossConfig)):
             if not isinstance(getattr(self, name), cls):
                 raise InvalidConfigError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
+        # total_iters 0 only evaluates the initial model
+        _check_fields(self, least={"total_iters": 0, "eval_interval": 1, "seed": 0, "embed_dim": 2,
+                                   "hidden_dim": 1})
         if self.variant not in TRAIN_VARIANTS:
             raise InvalidConfigError(f"variant must be one of {TRAIN_VARIANTS}, got {self.variant!r}")
         if self.eval_metric not in METRICS:
             raise InvalidConfigError(
                 f"eval_metric must be one of {METRICS}, got {self.eval_metric!r}"
             )
-        # each integer field and its least value; 0 iterations only evaluates the initial model
-        for name, least in (("total_iters", 0), ("eval_interval", 1), ("seed", 0), ("embed_dim", 2),
-                            ("hidden_dim", 1)):
-            value = getattr(self, name)
-            if value is None and name == "hidden_dim":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise InvalidConfigError(f"{name} must be >= {least}, got {value}")
-        for name in ("init_scale", "lr0", "lr_min", "momentum", "weight_decay", "holdout_fraction",
-                     "uniformity_t"):  # each float field; its range is checked below
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise InvalidConfigError(f"{name} must be a finite real number, got {value!r}")
         if self.init_scale <= 0.0:
             raise InvalidConfigError(f"init_scale must be > 0, got {self.init_scale}")
         if not 0.0 < self.holdout_fraction < 1.0:
@@ -333,7 +320,7 @@ def holdout_split(labels, fraction: float, rng: np.random.Generator):
     Each class holds out max(2, round(fraction * count)) rows, alternating
     between gallery and probe so both sides see every class.
     """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = _int_labels(labels)
     train, gallery, probe = [], [], []
     for c in np.unique(labels):
         rows = np.flatnonzero(labels == c)

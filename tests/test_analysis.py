@@ -286,6 +286,10 @@ class TestRobustnessGap:
             RobustnessProbe(epsilon=0.0)
         with pytest.raises(InvalidConfigError):
             RobustnessProbe(n_samples=0)
+        with pytest.raises(InvalidConfigError, match="seed must be >= 0, got -1"):
+            RobustnessProbe(seed=-1)
+        with pytest.raises(InvalidConfigError, match=re.escape("n_samples must be an integer, got 4.0")):
+            RobustnessProbe(n_samples=4.0)
 
     @pytest.mark.parametrize("n_samples", [-2, 0, 1, 3, 5, 99_999])
     def test_probe_needs_an_even_draw_count(self, n_samples):

@@ -9,6 +9,7 @@ installed console script.
 
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -21,12 +22,14 @@ import pytest
 import scipy
 
 import metriclab
-from metriclab import cli, core, gen_dataset, losses, reference_train_config, training, write_dataset_csv
+from metriclab import (cli, core, errors, gen_dataset, losses, reference_train_config, training,
+                       write_dataset_csv)
+from metriclab.analysis import RobustnessProbe
 from metriclab.batching import BatchSpec
 from metriclab.cli import ExperimentConfig, run
 from metriclab.losses import LossConfig
-from metriclab.synth import DatasetSpec
-from metriclab.training import TrainConfig, dataset_seed
+from metriclab.synth import DatasetSpec, VmfParams
+from metriclab.training import OptimState, TrainConfig, dataset_seed
 
 TINY_CONFIG = {
     "seed": 0,
@@ -39,6 +42,16 @@ TINY_CONFIG = {
     "train": {"variant": "triplet_only", "total_iters": 6, "eval_interval": 3,
               "embed_dim": 4, "init_scale": 1.0},
 }
+
+
+_SECTIONS = {"dataset": DatasetSpec, "batch": BatchSpec, "loss": LossConfig, "train": TrainConfig}
+# a wrong kind of value for a field of each declared type, each of which JSON carries
+_WRONG_KINDS = {"int": (True, 4.0, "4", None), "int | None": (True, 4.0, "4"),
+                "float": (True, "0.5", math.nan, math.inf, None), "bool": (1, "no", None), "str": (1, None)}
+# the TrainConfig fields the CLI fills from the other sections and the top-level seed
+_TRAIN_OWN = ("dataset", "batch", "loss", "seed")
+_WRONG_KIND_CASES = [(name, f.name, value) for name, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
+                     if not (name == "train" and f.name in _TRAIN_OWN) for value in _WRONG_KINDS[f.type]]
 
 
 @pytest.fixture
@@ -321,7 +334,7 @@ class TestUsageAndConfigErrors:
         ("gen-data", dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], seed=1.5)),
          "seed must be an integer, got 1.5"),
         ("train", dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], seed=True)),
-         "seed must be an integer, got true"),
+         "seed must be an integer, got True"),
         # a train section is checked with the file, so it needs both of the sections it trains on
         ("gen-data", {k: v for k, v in TINY_CONFIG.items() if k != "batch"},
          "config has no 'batch' section, which 'train' needs"),
@@ -345,9 +358,9 @@ class TestUsageAndConfigErrors:
         ("gen-data", "dataset", {"seed": 1.5}, "seed must be an integer, got 1.5"),
         ("gen-data", "dataset", {"input_dim": None}, "missing key 'input_dim'"),
         ("train", "batch", {"samples_per_class": None}, "missing key 'samples_per_class'"),
-        ("train", "loss", {"margin": "0.6"}, 'margin must be a number, got "0.6"'),
+        ("train", "loss", {"margin": "0.6"}, "margin must be a finite real number, got '0.6'"),
         ("train", "loss", {"temperature": 0.0}, "temperature must be finite and > 0, got 0.0"),
-        ("train", "train", {"total_iters": "10"}, 'total_iters must be an integer, got "10"'),
+        ("train", "train", {"total_iters": "10"}, "total_iters must be an integer, got '10'"),
         # the train section is checked with the file, whatever the command
         ("gen-data", "train", {"variant": "nope"}, "variant must be one of ('triplet_only', "
          "'combined_simce', 'combined_m_simce'), got 'nope'"),
@@ -371,24 +384,37 @@ class TestUsageAndConfigErrors:
         assert run(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "unknown key 'side'" in capsys.readouterr().err
 
-    def test_every_config_field_type_has_a_rule(self, monkeypatch):
-        """_build_section checks each value by its field's declared type in
-        _FIELD_TYPES; a type without a rule would raise a KeyError, which run()
-        does not catch.  Every field of every section class it builds has one,
-        bar the fields passed in as ``own``."""
-        built = {}
-        build = cli._build_section
+    def test_every_config_field_type_has_a_rule(self):
+        """Each config class checks its fields with errors._check_fields, which
+        passes over a field whose declared type has no rule in _FIELD_RULES.
+        Every field of the seven classes has one, bar the arrays and sections
+        that their classes check themselves."""
+        classes = (BatchSpec, DatasetSpec, VmfParams, LossConfig, TrainConfig, OptimState, RobustnessProbe)
+        own = {"VmfParams.mu", "OptimState.buffer",
+               "TrainConfig.dataset", "TrainConfig.batch", "TrainConfig.loss"}
+        assert [f"{cls.__name__}.{f.name}: {f.type}" for cls in classes for f in dataclasses.fields(cls)
+                if f.type.removesuffix(" | None") not in errors._FIELD_RULES
+                and f"{cls.__name__}.{f.name}" not in own] == []
 
-        def spy(cls, section, name, path, **own):
-            built[cls] = set(own)
-            return build(cls, section, name, path, **own)
-
-        monkeypatch.setattr(cli, "_build_section", spy)
-        ExperimentConfig.from_file("configs/reference.json")
-        assert set(built) == {DatasetSpec, BatchSpec, LossConfig, TrainConfig}
-        assert [f"{cls.__name__}.{f.name}: {f.type}" for cls, own in built.items()
-                for f in dataclasses.fields(cls)
-                if f.name not in own and f.type not in cli._FIELD_TYPES] == []
+    @pytest.mark.parametrize("section, field, value", _WRONG_KIND_CASES,
+                             ids=[f"{s}.{f}={v!r}" for s, f, v in _WRONG_KIND_CASES])
+    def test_library_and_cli_refuse_a_wrong_kind_with_one_message(self, section, field, value,
+                                                                  tmp_path, capsys):
+        """For every field of the four section classes: a bool for a number, an
+        integral float for an integer, a string, nan or inf for a float, None
+        where None is no value.  The library refuses it naming the field, and
+        the CLI exits 1 with the same words after its prefix, before --out exists."""
+        values = dict(TINY_CONFIG[section], **{field: value})
+        built = {name: cls(**TINY_CONFIG[name]) for name, cls in _SECTIONS.items() if name != "train"}
+        with pytest.raises(ValueError) as refused:
+            _SECTIONS[section](**values, **(dict(built, seed=0) if section == "train" else {}))
+        message = str(refused.value)
+        assert message.startswith(f"{field} must be ")
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(dict(TINY_CONFIG, **{section: values})), encoding="ascii")
+        assert run(["train", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: config section '{section}': {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("train", [None, "absent"])
     def test_null_or_absent_train_section_reads_as_empty(self, train, tmp_path):
@@ -398,18 +424,29 @@ class TestUsageAndConfigErrors:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload), encoding="ascii")
         config = ExperimentConfig.from_file(path)
-        assert config.train_config() == TrainConfig(dataset=config.dataset, batch=config.batch,
-                                                    loss=config.loss, seed=0)
+        assert config.train == TrainConfig(dataset=config.dataset, batch=config.batch,
+                                           loss=config.loss, seed=0)
 
     def test_dataset_only_config_generates_data_but_does_not_train(self, tmp_path, capsys):
         """No TrainConfig is built without a batch section: gen-data runs, and
-        train is refused by train_config()'s guard."""
+        train is refused by the section guard."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 0, "dataset": TINY_CONFIG["dataset"]}), encoding="ascii")
         assert ExperimentConfig.from_file(path).train is None
         assert run(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
         assert run(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
-        assert "training needs both a 'dataset' and a 'batch' section" in capsys.readouterr().err
+        assert "config has no 'batch' section, which 'train' needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "export-sim"])
+    def test_every_command_names_the_section_it_lacks(self, command, tmp_path, capsys):
+        """One guard words every missing section alike, naming the command that needs it."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 0, "dataset": TINY_CONFIG["dataset"]}), encoding="ascii")
+        out = tmp_path / "out"
+        assert run([command, "--config", str(path), "--model", str(tmp_path / "model.json"),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config has no 'batch' section, which '{command}' needs\n"
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["gen-data", "--config", str(tmp_path / "absent.json"),
@@ -514,12 +551,12 @@ class TestReferenceConfigFile:
         """configs/reference.json and reference_train_config() describe the
         same run, so CLI users and library users train the same model."""
         config = ExperimentConfig.from_file("configs/reference.json")
-        assert config.train_config() == reference_train_config(
+        assert config.train == reference_train_config(
             variant="triplet_only", seed=0)
 
     def test_seed_override_follows_the_library_rule(self):
         config = ExperimentConfig.from_file("configs/reference.json", seed_override=3)
-        assert config.train_config() == reference_train_config(seed=3)
+        assert config.train == reference_train_config(seed=3)
         # the manifest hash names the config that ran, dataset seed included
         assert config.raw_payload["seed"] == 3
         assert config.raw_payload["dataset"]["seed"] == 3017
@@ -528,15 +565,15 @@ class TestReferenceConfigFile:
         """configs/ci-combined-simce.json, which CI trains twice and compares
         byte for byte, is the reference run shortened to 200 iterations."""
         config = ExperimentConfig.from_file("configs/ci-combined-simce.json")
-        assert config.train_config() == reference_train_config(
+        assert config.train == reference_train_config(
             variant="combined_simce", seed=0, total_iters=200, eval_interval=100)
 
     def test_ci_wide_simce_config_takes_the_gram_and_blocked_paths(self):
         """configs/ci-wide-simce.json, which CI also trains twice and compares, is
         ci-wide-triplet at combined_simce for 20 iterations: its batches take the
         Gram distances and its simce grid spans several anchor blocks."""
-        wide = ExperimentConfig.from_file("configs/ci-wide-simce.json").train_config()
-        triplet = ExperimentConfig.from_file("configs/ci-wide-triplet.json").train_config()
+        wide = ExperimentConfig.from_file("configs/ci-wide-simce.json").train
+        triplet = ExperimentConfig.from_file("configs/ci-wide-triplet.json").train
         assert wide == dataclasses.replace(triplet, variant="combined_simce", total_iters=20,
                                            eval_interval=10)
         spec = wide.batch

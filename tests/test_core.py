@@ -6,6 +6,7 @@ constants come from hand arithmetic noted in the docstrings.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +18,13 @@ from metriclab import (
     similarity_matrix,
     write_sim_matrix_csv,
 )
+from metriclab.batching import BatchSpec, anchor_layout, pk_index
 from metriclab.core import _cosine_values, _unit_rows
-from metriclab.errors import DegenerateVectorError
+from metriclab.errors import DegenerateVectorError, InvalidLabelError
+from metriclab.evaluation import GalleryProbeSplit, variance_ratio
 from metriclab.losses import BatchGeometry
+from metriclab.synth import SynthDataset
+from metriclab.training import holdout_split
 
 
 def _random_pk_batch(rng, n_classes, samples_per_class, dim):
@@ -231,3 +236,40 @@ class TestSimMatrixCsv:
         write_sim_matrix_csv(sim, a)
         write_sim_matrix_csv(sim, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# every public entry point that takes class labels, fed 4 rows of them
+_LABEL_ENTRY_POINTS = {
+    "EmbeddingBatch": lambda y: EmbeddingBatch(np.ones((4, 2)), y),
+    "anchor_layout": anchor_layout,
+    "pk_index": lambda y: pk_index(y, BatchSpec(2, 2)),
+    "gallery-labels": lambda y: GalleryProbeSplit(np.ones((4, 2)), y, np.ones((1, 2)), [0]),
+    "probe-labels": lambda y: GalleryProbeSplit(np.ones((1, 2)), [0], np.ones((4, 2)), y),
+    "variance_ratio": lambda y: variance_ratio(np.eye(4), y),
+    "holdout_split": lambda y: holdout_split(y, 0.2, np.random.default_rng(0)),
+    "SynthDataset": lambda y: SynthDataset(np.ones((4, 2)), y, np.zeros(4), np.zeros(4, dtype=bool)),
+}
+
+
+class TestLabels:
+    """Class labels are integers wherever they enter, checked by one rule."""
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 0.5, 1, 1], "label 1 must be an integer, got 0.5"),
+        ([0.2, 0.9, 1.5, 1.1], "label 0 must be an integer, got 0.2"),
+        ([0, 0, 1, math.nan], "label 3 must be an integer, got nan"),
+        (["0", "0", "1", "1"], "label 0 must be an integer, got '0'"),
+        ([0, 0, 1, None], "label 3 must be an integer, got None"),
+    ], ids=["half", "all-fractional", "nan", "strings", "none"])
+    @pytest.mark.parametrize("entry", _LABEL_ENTRY_POINTS)
+    def test_labels_that_are_no_integers_are_refused(self, entry, labels, message):
+        """An int64 cast truncated 0.5 to 0, so [0.2, 0.9, 1.5, 1.1] made two
+        classes; it parsed digit strings and failed on nan and None in NumPy's words."""
+        with pytest.raises(InvalidLabelError, match=re.escape(message)):
+            _LABEL_ENTRY_POINTS[entry](labels)
+
+    def test_integral_labels_are_taken_and_int64_ones_are_not_copied(self):
+        labels = np.array([0, 0, 1, 1])
+        assert np.shares_memory(EmbeddingBatch(np.ones((4, 2)), labels).labels, labels)
+        for same in ([0.0, 0.0, 1.0, 1.0], np.array([0, 0, 1, 1], dtype=np.uint8), [0, 0, 1, np.int32(1)]):
+            np.testing.assert_array_equal(EmbeddingBatch(np.ones((4, 2)), same).labels, labels)

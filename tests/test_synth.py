@@ -38,6 +38,12 @@ class TestVmfParams:
         with pytest.raises(ValueError):
             VmfParams(np.array([1.0, 0.0]), -0.5)
 
+    @pytest.mark.parametrize("kappa", [True, "2", math.inf], ids=["bool", "string", "inf"])
+    def test_concentration_must_be_a_finite_real_number(self, kappa):
+        """A boolean kappa drew at concentration 1 and a string one ended in a TypeError."""
+        with pytest.raises(ValueError, match=re.escape(f"kappa must be a finite real number, got {kappa!r}")):
+            VmfParams(np.array([1.0, 0.0]), kappa)
+
 
 class TestVmfDensity:
     def test_zero_concentration_is_uniform_on_sphere(self):

@@ -124,6 +124,13 @@ class TestCosineLr:
         with pytest.raises(InvalidConfigError):
             cosine_lr(0, 10, lr0=0.1, lr_min=0.2)
 
+    @pytest.mark.parametrize("step, lr0, lr_min", [(0, math.nan, 1e-4), (3, 0.1, math.nan)],
+                             ids=["nan-lr0", "nan-lr-min"])
+    def test_nan_rates_rejected(self, step, lr0, lr_min):
+        """A NaN failed none of the comparisons the check made, so the schedule returned nan."""
+        with pytest.raises(InvalidConfigError, match="need 0 <= lr_min <= lr0 and lr0 > 0"):
+            cosine_lr(step, 10, lr0=lr0, lr_min=lr_min)
+
 
 class TestSgdUpdate:
     def test_two_step_hand_trace(self):
@@ -158,11 +165,20 @@ class TestSgdUpdate:
         with pytest.raises(InvalidConfigError):
             sgd_update(np.ones(2), np.ones(2), OptimState(), lr=-0.1)
 
+    def test_nan_lr_rejected_before_the_step(self):
+        """A NaN lr passed ``lr < 0`` and turned every parameter into NaN."""
+        w = np.ones(2)
+        with pytest.raises(InvalidConfigError, match="lr must be >= 0, got nan"):
+            sgd_update(w, np.ones(2), OptimState(), lr=math.nan)
+        np.testing.assert_array_equal(w, [1.0, 1.0])
+
     def test_optim_state_validation(self):
         with pytest.raises(InvalidConfigError):
             OptimState(momentum=1.0)
         with pytest.raises(InvalidConfigError):
             OptimState(weight_decay=-0.1)
+        with pytest.raises(InvalidConfigError, match="weight_decay must be a finite real number, got nan"):
+            OptimState(weight_decay=math.nan)
 
 
 class TestModelParams:
