@@ -31,7 +31,6 @@ from .batching import (
 from .core import (
     EmbeddingBatch,
     SimMatrix,
-    read_sim_matrix_csv,
     similarity_matrix,
     write_sim_matrix_csv,
 )
@@ -62,7 +61,6 @@ from .synth import (
     VmfParams,
     estimate_kappa,
     gen_dataset,
-    read_dataset_csv,
     sample_vmf,
     vmf_density,
     write_dataset_csv,

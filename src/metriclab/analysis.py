@@ -18,7 +18,7 @@ from scipy.special import expit
 from .batching import BatchSpec, anchor_layout
 from .core import EmbeddingBatch, _unchecked_batch
 from .errors import EvaluationError, InvalidConfigError, SingularityError, _check_fields
-from .losses import BatchGeometry
+from .losses import BatchGeometry, weight_from_sim
 
 
 # antithetic pairs per robustness_gap block; larger blocks only add peak memory
@@ -236,7 +236,7 @@ def sample_gradcheck_batch(rng: np.random.Generator, n_classes: int, samples_per
         if geo.dist[off_diag].min() < 1e-3:
             continue
         d_ap, d_an = geo.blocks(geo.dist)
-        w_ap, w_an = ((1.0 - s) / 2.0 for s in geo.blocks(geo.sim))
+        w_ap, w_an = map(weight_from_sim, geo.blocks(geo.sim))
         plain = cfg.margin + d_ap[:, :, None] - d_an[:, None, :]
         weighted = cfg.margin + (w_ap * d_ap)[:, :, None] - (w_an * d_an)[:, None, :]
         grid = geo.layout.grid

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -86,11 +85,17 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X / norms[..., None], norms
 
 
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X @ X.T over the last two axes, symmetric to the bit: one GEMM (NumPy's SYRK route is 3x
+    slower) averaged with its transpose, halved first so it cannot overflow where X @ X.T does not."""
+    G = X @ X.swapaxes(-1, -2).copy()
+    G *= 0.5
+    return G + G.swapaxes(-1, -2)
+
+
 def _cosine_values(unit: np.ndarray) -> np.ndarray:
     """Cosines of unit rows, valid by construction: the loss layer skips the SimMatrix checks."""
-    # mirror the upper triangle so rounding cannot break symmetry (diagonal reset below)
-    vals = np.triu(unit @ unit.swapaxes(-1, -2))
-    vals += vals.swapaxes(-1, -2)
+    vals = _gram(unit)
     np.clip(vals, -1.0, 1.0, out=vals)
     np.einsum("...ii->...i", vals)[...] = 1.0  # a writable view of each diagonal
     return vals
@@ -125,16 +130,13 @@ def _pairwise_dist(X: np.ndarray) -> np.ndarray:
     if X.shape[-2] >= _DIST_GRAM_MIN_ROWS:
         if X.ndim > 2:  # a (k, B, D) stack: the norm test and the pairs recomputed are per batch
             return np.stack([_pairwise_dist(x) for x in X])
-        # a copied transpose, so one GEMM: NumPy's SYRK route for X @ X.T fills
-        # its lower triangle element by element, 110 us of 165 at 256 rows.  An
-        # overflow here shows in the norms, which send the batch to the explicit form.
-        with np.errstate(over="ignore"):
-            G = X @ X.T.copy()
+        with np.errstate(over="ignore"):  # an overflow shows in the norms: explicit form
+            G = _gram(X)
         n = G.diagonal()
         lo, hi = _DIST_GRAM_NORMS
         if n.min() >= lo and n.max() <= hi:  # a NaN fails both comparisons
             n_sum = n[:, None] + n
-            d2 = n_sum - (G + G.T)  # G + G.T is symmetric to the bit, so d2 is
+            d2 = n_sum - 2.0 * G  # G is symmetric to the bit, so d2 is
             flat = d2.ravel()  # a view: d2 is contiguous
             redo = np.flatnonzero(flat * _DIST_RECOMPUTE_RATIO <= n_sum.ravel())
             i, j = np.divmod(redo, X.shape[0])
@@ -158,8 +160,7 @@ def similarity_matrix(batch: EmbeddingBatch, kind: str = "cosine") -> SimMatrix:
     if kind == "cosine_over_max":
         if batch.size < 2:
             raise ValueError("cosine_over_max needs at least two rows")
-        off = vals[~np.eye(batch.size, dtype=bool)]
-        peak = float(off.max())
+        peak = float(vals[~np.eye(batch.size, dtype=bool)].max())  # the largest off-diagonal
         if peak <= 0.0:
             raise ValueError("cosine_over_max is undefined when no off-diagonal similarity is positive")
         vals = vals / peak
@@ -180,16 +181,3 @@ def write_sim_matrix_csv(sim: SimMatrix, path) -> None:
     _write_csv(path, f"# kind={sim.kind} B={sim.size}", ",".join(["{:.17g}"] * sim.size),
                (row.tolist() for row in sim.values))
 
-
-def read_sim_matrix_csv(path) -> SimMatrix:
-    text = Path(path).read_text(encoding="ascii").strip().splitlines()
-    if not text or not text[0].startswith("# kind="):
-        raise ValueError(f"{path}: missing '# kind=... B=...' header")
-    fields = text[0][2:].split()
-    meta = dict(f.split("=", 1) for f in fields)
-    size = int(meta["B"])
-    rows = [line.split(",") for line in text[1:]]
-    vals = np.array(rows, dtype=np.float64)
-    if vals.shape != (size, size):
-        raise ValueError(f"{path}: body shape {vals.shape} does not match B={size}")
-    return SimMatrix(vals, meta["kind"])

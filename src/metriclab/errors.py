@@ -60,11 +60,18 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss value."""
 
 
+def _finite_real(v) -> bool:
+    """A finite real number, no bool; an int past the float range (math.isfinite raises) is not."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 # declared field type -> (the values it takes, how an error names them); "X | None" also takes None
 _FIELD_RULES = {
     "int": (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool), "an integer"),
-    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
-              "a finite real number"),
+    "float": (_finite_real, "a finite real number"),
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a boolean"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }

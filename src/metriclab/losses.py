@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .batching import AnchorLayout, anchor_layout
-from .core import EmbeddingBatch, _cosine_values, _pairwise_dist, _unit_rows
+from .core import EmbeddingBatch, _cosine_values, _gram, _pairwise_dist, _unit_rows
 from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
@@ -157,7 +157,7 @@ class BatchGeometry:
         """Score matrix of the contrastive losses: cosines or raw inner products."""
         if cfg.normalize_for_simce:
             return self.sim
-        return self.batch.data @ self.batch.data.swapaxes(-1, -2)
+        return _gram(self.batch.data)
 
     def score_grad(self, C: np.ndarray, cfg: LossConfig) -> np.ndarray:
         if cfg.normalize_for_simce:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -250,14 +249,3 @@ def write_dataset_csv(dataset: SynthDataset, path) -> None:
     _write_csv(path, "label,subcluster,noise," + ",".join(f"f{i}" for i in range(dataset.dim)),
                "{},{},{:d}" + ",{:.17g}" * dataset.dim, ((*ids, *x.tolist()) for *ids, x in rows))
 
-
-def read_dataset_csv(path) -> SynthDataset:
-    text = Path(path).read_text(encoding="ascii").strip().splitlines()
-    if not text or not text[0].startswith("label,subcluster,noise,"):
-        raise ValueError(f"{path}: missing dataset header")
-    rows = [line.split(",") for line in text[1:]]
-    labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    subclusters = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    flags = np.array([bool(int(r[2])) for r in rows])
-    features = np.array([[float(v) for v in r[3:]] for r in rows], dtype=np.float64)
-    return SynthDataset(features, labels, subclusters, flags)

@@ -45,13 +45,20 @@ TINY_CONFIG = {
 
 
 _SECTIONS = {"dataset": DatasetSpec, "batch": BatchSpec, "loss": LossConfig, "train": TrainConfig}
+_PAST_FLOAT = 10**400  # an integer JSON carries and no float holds
 # a wrong kind of value for a field of each declared type, each of which JSON carries
 _WRONG_KINDS = {"int": (True, 4.0, "4", None), "int | None": (True, 4.0, "4"),
-                "float": (True, "0.5", math.nan, math.inf, None), "bool": (1, "no", None), "str": (1, None)}
+                "float": (True, "0.5", math.nan, math.inf, None, _PAST_FLOAT, -_PAST_FLOAT),
+                "bool": (1, "no", None), "str": (1, None)}
 # the TrainConfig fields the CLI fills from the other sections and the top-level seed
 _TRAIN_OWN = ("dataset", "batch", "loss", "seed")
 _WRONG_KIND_CASES = [(name, f.name, value) for name, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
                      if not (name == "train" and f.name in _TRAIN_OWN) for value in _WRONG_KINDS[f.type]]
+
+
+def _value_id(value) -> str:
+    """A case id's value: its repr, or the 401-digit _PAST_FLOAT as a power of ten."""
+    return {_PAST_FLOAT: "10**400", -_PAST_FLOAT: "-10**400"}.get(value, repr(value))
 
 
 @pytest.fixture
@@ -397,12 +404,12 @@ class TestUsageAndConfigErrors:
                 and f"{cls.__name__}.{f.name}" not in own] == []
 
     @pytest.mark.parametrize("section, field, value", _WRONG_KIND_CASES,
-                             ids=[f"{s}.{f}={v!r}" for s, f, v in _WRONG_KIND_CASES])
+                             ids=[f"{s}.{f}={_value_id(v)}" for s, f, v in _WRONG_KIND_CASES])
     def test_library_and_cli_refuse_a_wrong_kind_with_one_message(self, section, field, value,
                                                                   tmp_path, capsys):
         """For every field of the four section classes: a bool for a number, an
-        integral float for an integer, a string, nan or inf for a float, None
-        where None is no value.  The library refuses it naming the field, and
+        integral float for an integer, a string, nan, inf or an integer past the
+        float range for a float, None where None is no value.  The library refuses it naming the field, and
         the CLI exits 1 with the same words after its prefix, before --out exists."""
         values = dict(TINY_CONFIG[section], **{field: value})
         built = {name: cls(**TINY_CONFIG[name]) for name, cls in _SECTIONS.items() if name != "train"}
@@ -608,3 +615,15 @@ class TestConsoleScript:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "margin-check: PASS" in proc.stdout
+
+    def test_module_entry_point(self):
+        """`python -m metriclab.cli` runs the CLI in a fresh interpreter: a passing check
+        prints its verdict and exits 0, and a refused option exits 1, not 0 with no output."""
+        package_root = str(Path(metriclab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "metriclab.cli", "margin-check", "--trials"]
+        proc = subprocess.run(argv + ["1"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "margin-check: PASS" in proc.stdout
+        assert subprocess.run(argv + ["-1"], capture_output=True, text=True, env=env).returncode == 1

@@ -14,15 +14,14 @@ import pytest
 from metriclab import (
     EmbeddingBatch,
     SimMatrix,
-    read_sim_matrix_csv,
     similarity_matrix,
     write_sim_matrix_csv,
 )
 from metriclab.batching import BatchSpec, anchor_layout, pk_index
-from metriclab.core import _cosine_values, _unit_rows
+from metriclab.core import _cosine_values, _unchecked_batch, _unit_rows
 from metriclab.errors import DegenerateVectorError, InvalidLabelError
 from metriclab.evaluation import GalleryProbeSplit, variance_ratio
-from metriclab.losses import BatchGeometry
+from metriclab.losses import BatchGeometry, LossConfig
 from metriclab.synth import SynthDataset
 from metriclab.training import holdout_split
 
@@ -194,6 +193,61 @@ class TestCosineValuesMirror:
         assert np.any(unit @ unit.T < -1.0)
 
 
+def _signed_zero_rows(rng, rows, dim):
+    """Rows whose entries are mostly +0.0 or -0.0, one +-1 each so no row is zero."""
+    X = np.where(rng.random((rows, dim)) < 0.3, rng.standard_normal((rows, dim)), 0.0)
+    X[np.arange(rows), rng.integers(dim, size=rows)] = 1.0
+    return X * rng.choice([-1.0, 1.0], size=(rows, dim))
+
+
+_GRAM_ROWS = {f"{rows}x{dim}": np.random.default_rng(50 + rows * dim).standard_normal((rows, dim))
+              for rows in (1, 2, 4, 12, 16, 31, 32, 64, 256) for dim in (3, 16)}
+_GRAM_ROWS.update({"stack_3x12x16": np.random.default_rng(51).standard_normal((3, 12, 16)),
+                   "signed_zeros_12x3": _signed_zero_rows(np.random.default_rng(52), 12, 3),
+                   "signed_zeros_32x16": _signed_zero_rows(np.random.default_rng(53), 32, 16)})
+
+
+def _fsum_products(X):
+    """Each pair's sum of products of X's rows by math.fsum, and the sum of the products' sizes."""
+    prods = X[..., :, None, :] * X[..., None, :, :]
+    rows = prods.reshape(-1, X.shape[-1]).tolist()
+    return (np.array([math.fsum(r) for r in rows]).reshape(prods.shape[:-1]),
+            np.array([math.fsum(map(abs, r)) for r in rows]).reshape(prods.shape[:-1]))
+
+
+class TestGramScores:
+    """The one Gram product under the pairwise scores the losses read: the cosines
+    and the raw inner products of ``BatchGeometry.scores``."""
+
+    @pytest.mark.parametrize("name", sorted(_GRAM_ROWS))
+    def test_symmetric_to_the_bit_and_near_the_loop_oracle(self, name):
+        """Each score is symmetric to the bit and within (D + 2) eps_mach sum_k |x_k y_k|
+        of the fsum of its rounded products: the product's rounding is at most about D
+        half-ulps of that sum, the oracle's and the averaging's one more each, and the
+        clip and the unit diagonal only move a cosine toward the exact value."""
+        X = _GRAM_ROWS[name]
+        geo = BatchGeometry(_unchecked_batch(X, np.arange(X.shape[-2]) % 2))
+        for rows, normalize in ((X, False), (geo.unit_norms[0], True)):
+            scores = geo.scores(LossConfig(normalize_for_simce=normalize))
+            bits = scores.view(np.int64)
+            np.testing.assert_array_equal(bits, bits.swapaxes(-1, -2))
+            exact, size = _fsum_products(rows)
+            assert np.all(np.abs(scores - exact) <= (X.shape[-1] + 2) * np.finfo(float).eps * size)
+
+    @pytest.mark.parametrize("name", sorted(_GRAM_ROWS))
+    def test_cosines_are_valid(self, name):
+        """A unit diagonal, every entry in [-1, 1], and no -0.0, signed-zero rows included."""
+        X = _GRAM_ROWS[name]
+        cos = BatchGeometry(_unchecked_batch(X, np.arange(X.shape[-2]) % 2)).sim
+        assert np.all(np.einsum("...ii->...i", cos) == 1.0)
+        assert cos.min() >= -1.0 and cos.max() <= 1.0
+        assert not np.any(np.signbit(cos) & (cos == 0.0))
+
+    def test_the_signed_zero_rows_reach_zero_cosines(self):
+        unit = _unit_rows(_GRAM_ROWS["signed_zeros_12x3"])[0]
+        assert np.count_nonzero(_cosine_values(unit) == 0.0) >= 10
+
+
 class TestSimMatrixType:
     def test_rejects_asymmetry(self):
         values = np.array([[1.0, 0.5], [0.4, 1.0]])
@@ -213,14 +267,13 @@ class TestSimMatrixType:
 
 class TestSimMatrixCsv:
     def test_round_trip(self, tmp_path):
-        """Write then read returns the same kind and bit-identical values."""
+        """The header names the kind, and the body reads back to bit-identical values."""
         batch = _random_pk_batch(np.random.default_rng(31), 4, 2, 6)
         sim = similarity_matrix(batch)
         path = tmp_path / "sim.csv"
         write_sim_matrix_csv(sim, path)
-        back = read_sim_matrix_csv(path)
-        assert back.kind == sim.kind
-        np.testing.assert_array_equal(back.values, sim.values)
+        assert path.read_text().splitlines()[0] == f"# kind={sim.kind} B={sim.size}"
+        np.testing.assert_array_equal(np.loadtxt(path, delimiter=","), sim.values)
 
     def test_header_line(self, tmp_path):
         batch = _random_pk_batch(np.random.default_rng(32), 2, 2, 3)

@@ -15,7 +15,6 @@ from metriclab import (
     GalleryProbeSplit,
     build_geometry_report,
     rank1,
-    read_sim_matrix_csv,
     snapshot_sim_matrix,
     uniformity,
     variance_ratio,
@@ -262,12 +261,12 @@ class TestSnapshotSimMatrix:
         batch = EmbeddingBatch(data, labels)
         path = tmp_path / "sim.csv"
         snapshot_sim_matrix(batch, path)
-        sim = read_sim_matrix_csv(path)
-        assert sim.values.shape == (64, 64)
+        sim = np.loadtxt(path, delimiter=",")
+        assert sim.shape == (64, 64)
         unit = data / np.linalg.norm(data, axis=1, keepdims=True)
         expected_block = np.clip(unit[:8] @ unit[:8].T, -1.0, 1.0)
         np.fill_diagonal(expected_block, 1.0)
-        np.testing.assert_allclose(sim.values[:8, :8], expected_block, atol=1e-12)
+        np.testing.assert_allclose(sim[:8, :8], expected_block, atol=1e-12)
 
     def test_rows_are_grouped_by_label_even_if_shuffled(self, tmp_path):
         """Snapshot order is by label, not by row position in the batch."""
@@ -276,18 +275,18 @@ class TestSnapshotSimMatrix:
         batch = EmbeddingBatch(data, labels)
         path = tmp_path / "sim.csv"
         snapshot_sim_matrix(batch, path)
-        sim = read_sim_matrix_csv(path)
+        sim = np.loadtxt(path, delimiter=",")
         # label-0 rows (both (0,1)) come first: their block is all ones
-        np.testing.assert_array_equal(sim.values[:2, :2], np.ones((2, 2)))
-        np.testing.assert_array_equal(sim.values[2:, 2:], np.ones((2, 2)))
-        np.testing.assert_array_equal(sim.values[:2, 2:], np.zeros((2, 2)))
+        np.testing.assert_array_equal(sim[:2, :2], np.ones((2, 2)))
+        np.testing.assert_array_equal(sim[2:, 2:], np.ones((2, 2)))
+        np.testing.assert_array_equal(sim[:2, 2:], np.zeros((2, 2)))
 
     def test_identical_rows_give_all_ones(self, tmp_path):
         data = np.tile(np.array([0.6, 0.8]), (4, 1))
         batch = EmbeddingBatch(data, np.array([0, 0, 1, 1]))
         path = tmp_path / "sim.csv"
         snapshot_sim_matrix(batch, path)
-        np.testing.assert_array_equal(read_sim_matrix_csv(path).values, np.ones((4, 4)))
+        np.testing.assert_array_equal(np.loadtxt(path, delimiter=","), np.ones((4, 4)))
 
     def test_io_error_names_the_path(self, tmp_path):
         batch = EmbeddingBatch(np.eye(2), np.array([0, 1]))

@@ -17,7 +17,6 @@ from metriclab import (
     VmfParams,
     estimate_kappa,
     gen_dataset,
-    read_dataset_csv,
     sample_vmf,
     vmf_density,
     write_dataset_csv,
@@ -295,11 +294,11 @@ class TestDatasetCsv:
         data = gen_dataset(spec)
         path = tmp_path / "data.csv"
         write_dataset_csv(data, path)
-        back = read_dataset_csv(path)
-        np.testing.assert_array_equal(back.features, data.features)
-        np.testing.assert_array_equal(back.labels, data.labels)
-        np.testing.assert_array_equal(back.subclusters, data.subclusters)
-        np.testing.assert_array_equal(back.noise_flags, data.noise_flags)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back[:, 3:], data.features)
+        np.testing.assert_array_equal(back[:, 0], data.labels)
+        np.testing.assert_array_equal(back[:, 1], data.subclusters)
+        np.testing.assert_array_equal(back[:, 2], data.noise_flags)
 
     def test_header_names_columns(self, tmp_path):
         data = gen_dataset(DatasetSpec(2, 2, 2, 3, 5.0, 20.0, seed=8))
