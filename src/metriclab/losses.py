@@ -198,14 +198,14 @@ def _grad_from_cos(C: np.ndarray, unit: np.ndarray, norms: np.ndarray, S: np.nda
     return (R @ unit - (R * S).sum(axis=-1)[..., None] * unit) / norms[..., None]
 
 
-# Fewest positive slots per anchor (P) at which _hinge sorts instead of
-# building the (B, P, M) grid: O(B (P + M) log(P + M)) plus about 60 us of
-# fixed cost a call, against O(B P M).  One hinge call on unit rows, d = 16,
-# median thread time on one pinned CPU of a 2-vCPU VM, median of three runs,
-# grid / sort, for (N, K) PK batches: (4, 4) 36 / 78 us, (32, 4) 608 / 580 us,
-# (8, 6) 100 / 156 us, (8, 8) 153 / 157 us, (9, 9) 440 / 306 us, (10, 10)
-# 1.1 / 0.45 ms, (4, 32) 5.3 / 0.56 ms, (16, 16) 7.8 / 2.2 ms.  Even at P = 7, the sort leads from P = 8.
-_HINGE_SORT_MIN_P = 8
+# Fewest positive slots per anchor (P) at which _hinge sorts instead of counting
+# over the (B, P, M) grid: O(B (P + M) log(P + M)) plus about 25 us more fixed cost
+# a call, against O(B P M).  One hinge call on unit rows, d = 16, median thread time
+# on one pinned CPU of a 2-vCPU VM, median of five runs, grid / sort, for (N, K) PK
+# batches: (4, 4) 22 / 45 us, (8, 8) 92 / 117 us, (8, 13) 286 / 263 us, (8, 14) 347 /
+# 291 us, (4, 32) 0.86 / 0.40 ms: the sort leads or ties from P = 13 up to N = 8, and
+# at N = 16 the two are close from P = 13: (16, 14) 1.54 / 1.62, (16, 16) 2.09 / 2.08 ms.
+_HINGE_SORT_MIN_P = 13
 
 
 def _hinge_counts(v: np.ndarray, y: np.ndarray, lay: AnchorLayout):
@@ -214,7 +214,7 @@ def _hinge_counts(v: np.ndarray, y: np.ndarray, lay: AnchorLayout):
 
     v and y must be >= 0 or NaN, so they order as their bit patterns: each is
     keyed 2 * bits + tag, tag 1 for a negative, and a threshold sorts before an
-    equal negative, a tie staying inactive as under h > 0.  Padded and NaN
+    equal negative, a tie staying inactive as under v > y.  Padded and NaN
     thresholds key to 0 and padded negatives to the largest key, so they count
     nothing; the shift drops the sign bit, so -0.0 keys as 0.0 and a NaN
     negative of either sign sorts past every threshold.  So k and c are the
@@ -240,21 +240,18 @@ def _hinge(geo: BatchGeometry, cfg: LossConfig, ap: np.ndarray, an: np.ndarray):
     """Reduced relu(margin + ap[a, p] - an[a, n]) over the batch's triplets: the value,
     the weight each (a, p) and (a, n) collects from its active triplets, n_non, n_total.
 
-    The counts come from _hinge_counts from P = _HINGE_SORT_MIN_P on and from
-    the grid below it; both give the same bits, and the values differ by rounding.
-    Both sum counted slots only (a non-finite v or an left inactive stays out).
+    The counts come from _hinge_counts from P = _HINGE_SORT_MIN_P on and from the grid
+    below it, the same bits either way, and so do the value and gradient summed from
+    them; only counted slots enter the sums (a non-finite v or an left inactive stays out).
     """
     lay = geo.layout
     v = cfg.margin + ap
     if ap.shape[-1] >= _HINGE_SORT_MIN_P:
         k, c = _hinge_counts(v, an, lay)
-        total = (k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0)
     else:
-        h = v[..., None] - an[..., None, :]
-        active = (h > 0.0) & lay.grid
+        active = (v[..., None] > an[..., None, :]) & lay.grid
         k, c = active.sum(axis=-1), active.sum(axis=-2)
-        # fmax zeroes every inactive h, NaN too, without branching on the mask
-        total = np.fmax(h, 0.0).sum(axis=(-3, -2, -1), where=lay.grid)
+    total = (k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0)
     n_non = k.sum(axis=(-2, -1), keepdims=True)  # arrays, not scalars: NumPy's faster path
     counted = n_non if cfg.reduction == "mean_over_nonzero" else np.full_like(n_non, lay.n_triplets)
     denom = np.maximum(counted, 1.0)

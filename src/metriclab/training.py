@@ -452,9 +452,11 @@ def save_model(model: ModelParams, path) -> None:
 
 def load_model(path) -> ModelParams:
     """The model save_model wrote; a null or absent hidden layer reads as none, any other name is refused."""
-    payload = json.loads(Path(path).read_text(encoding="ascii"))
-    arrays = {name: None if value is None else np.array(value) for name, value in payload.items()}
     try:
+        payload = json.loads(Path(path).read_text(encoding="ascii"))
+        if not isinstance(payload, dict):
+            raise TypeError("top level must be a JSON object")
+        arrays = {name: None if value is None else np.array(value) for name, value in payload.items()}
         return ModelParams(head=ClassifierHead(arrays.pop("head_weight"), arrays.pop("head_bias")), **arrays)
-    except (KeyError, TypeError) as exc:  # a missing array, or a name ModelParams does not take
+    except (KeyError, TypeError, ValueError) as exc:  # no JSON object; a ragged, missing or unknown array
         raise InvalidConfigError(f"{path} is not a saved model: {exc}") from exc

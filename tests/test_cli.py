@@ -455,6 +455,19 @@ class TestUsageAndConfigErrors:
         assert capsys.readouterr().err == f"error: config has no 'batch' section, which '{command}' needs\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "export-sim"])
+    @pytest.mark.parametrize("text", ["[1.0, 2.0]", "not json", '{"embed_weight": [[1.0, 2.0], [3.0]]}'])
+    def test_a_malformed_model_file_is_one_error_line(self, command, text, tiny_config, tmp_path, capsys):
+        """A JSON list, text that is no JSON and a ragged array each exit 1 with one
+        error line naming the file: no exception escapes run() as a traceback."""
+        model = tmp_path / "model.json"
+        model.write_text(text, encoding="ascii")
+        assert run([command, "--config", str(tiny_config), "--model", str(model),
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model} is not a saved model: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["gen-data", "--config", str(tmp_path / "absent.json"),
                     "--out", str(tmp_path / "o")]) == 1
@@ -589,7 +602,7 @@ class TestReferenceConfigFile:
         assert spec.batch_size * grid >= 3 * losses._SIMCE_BLOCK_ELEMS
 
     def test_sha256_is_stable_under_key_order(self, tmp_path):
-        payload = json.loads(open("configs/reference.json").read())
+        payload = json.loads(Path("configs/reference.json").read_text(encoding="ascii"))
         reordered = {k: payload[k] for k in reversed(list(payload))}
         shuffled = tmp_path / "shuffled.json"
         shuffled.write_text(json.dumps(reordered), encoding="ascii")

@@ -3,19 +3,21 @@
 A row of ``PATHS`` names the module constant or function that selects a fast
 path, a value that forces the fast path on every layout and one that forces
 the reference path it stands in for, where the default takes the fast path,
-how to see that it did, and the path's promise: bit-identical counts and
-gradients, or values within the bound the code states.  Every row runs over
+how to see that it did, and the path's promise: bit-identical outputs,
+bit-identical counts and gradients, or values within the bound the code
+states.  Every row runs over
 every layout of ``LAYOUTS``, sizes on both sides of every crossover (a kernel
 may skip layouts its reference path makes too slow), and on
 each the forced fast run keeps the promise against the forced reference run;
 the default run is the reference run bit for bit short of the crossover, and
 past it keeps the promise and took the fast path: it is the forced fast run
 bit for bit or, where forcing changes the fast path's own shape (simce's
-anchor blocks, batch_gradcheck's blocks of copies), a spy counts its calls; and, on the label layouts the row
+anchor blocks, batch_gradcheck's blocks of copies) or the fast path returns
+the reference's bits (the sorted hinge), a spy counts its calls; and, on the label layouts the row
 names, the default run agrees with the loop oracles of ``loop_oracles.py``;
 one test case per row and labelling, so a failure names both.  Across all layouts, a second test per row checks that
-past the crossover every call leaves the reference run's bits on some
-layout, so no promise holds vacuously.  The three runs of a row on a layout
+past the crossover every call of a row that does not promise the reference's
+bits leaves them on some layout, so no promise holds vacuously.  The three runs of a row on a layout
 are computed once and shared by both tests.
 """
 
@@ -25,6 +27,8 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import ClassifierHead, LossConfig, analysis, core, losses
 from metriclab.batching import anchor_layout
@@ -45,8 +49,8 @@ class Layout:
     data: np.ndarray
 
 
-# (labelling, labels, dim): 8, 16, 31, 32 and 72 rows around the Gram form's 32;
-# P = 7 and 8 positive slots per anchor around the sorted hinge's 8; simce grids
+# (labelling, labels, dim): 8, 16, 31, 32, 42 and 72 rows around the Gram form's 32;
+# P = 8 and 13 positive slots per anchor around the sorted hinge's 13; simce grids
 # of one anchor block (up to (72, 7, 64)), of two, and of 29 at (16, 16)
 _LABELS = [
     ("pk-2x4", np.repeat(np.arange(2), 4), 3),
@@ -58,6 +62,7 @@ _LABELS = [
     ("pk-9x8", np.repeat(np.arange(9), 8), 16),
     ("pk-8x9", np.repeat(np.arange(8), 9), 3),
     ("pk-16x16", np.repeat(np.arange(16), 16), 16),
+    ("singleton-42", np.random.default_rng(64).permutation(np.repeat(np.arange(5), [14, 12, 9, 6, 1])), 3),
 ]
 _KINDS = ("gauss", "ties", "close", "norm-1e160", "overflow-1e200", "nan", "offset-30", "span-900")
 _WIDE_KINDS = ("gauss", "overflow-1e200", "nan")  # (16, 16) runs path against path only
@@ -146,8 +151,8 @@ def _gradchecks(layout):
     its values keep the reference's bits, as the hinge losses' do (see the
     stacked-call test of test_losses.py).  The reference path makes two loss calls per coordinate, so the row keeps
     to batches of at most 256 coordinates: every kind up to 64, the Gaussian
-    kind above; every loss up to 32 rows, and the plain hinge on pk-8x9, the
-    one layout past the crossover.
+    kind above; every loss up to 32 rows, and the plain hinge on pk-8x9 and on
+    singleton-42, the one that sorts its hinge.
     """
     rows, coordinates = layout.labels.size, layout.data.size
     if coordinates > 256 or coordinates > 64 and layout.kind != "gauss":
@@ -199,14 +204,17 @@ def _gram_bound(fast, slow, layout):
     assert np.all(np.abs(d2 - s2) <= (rho * (dim + 2) + dim + 4) * EPS * s2)
 
 
-def _same_counts_and_gradient_bits(value_rtol):
-    """Counts and gradients bit-identical, the value within value_rtol: 1e-12 for
-    the hinge's two sums, 1e-13 for simce's total summed block by block."""
-    def promise(fast, slow, layout):
-        assert (fast.n_non, fast.n_total) == (slow.n_non, slow.n_total)
-        assert fast.grad.tobytes() == slow.grad.tobytes()
-        np.testing.assert_allclose(fast.value, slow.value, rtol=value_rtol, atol=0.0)
-    return promise
+def _same_bits(fast, slow, layout):
+    """Value, gradient and counts bit-identical."""
+    assert _bits(fast) == _bits(slow)
+
+
+def _same_counts_and_gradient_bits(fast, slow, layout):
+    """Counts and gradients bit-identical, the value within 1e-13: simce's total
+    is summed block by block."""
+    assert (fast.n_non, fast.n_total) == (slow.n_non, slow.n_total)
+    assert fast.grad.tobytes() == slow.grad.tobytes()
+    np.testing.assert_allclose(fast.value, slow.value, rtol=1e-13, atol=0.0)
 
 
 def _within_1e13(fast, slow, layout):
@@ -237,16 +245,35 @@ def _same_verdict_and_error_within_rounding(fast, slow, layout):
 
 
 # ---------------------------------------------------------------------------
-# past the crossover, (fast, default, layout, call) -> None: the default took the fast path
+# (forced, default, layout, call, taken) -> None: the default took the fast path
+# where taken, else the reference path; forced is the run forced to that path
 
 
-def _same_bits_as_forced(fast, default, layout, call):
-    assert _bits(default) == _bits(fast), "the default left the fast path"
+def _same_bits_as_forced(forced, default, layout, call, taken):
+    assert _bits(default) == _bits(forced), f"the default left the {'fast' if taken else 'reference'} path"
 
 
-def _simce_slabs_of_the_block_rule(fast, default, layout, call):
-    """The default call ran _simce_slab once per block of the fewest anchor blocks
-    of at most _SIMCE_BLOCK_ELEMS grid elements (one anchor a block when larger)."""
+def _hinge_sorts_where_taken(forced, default, layout, call, taken):
+    """The default call ran _hinge_counts once where taken, and never elsewhere."""
+    sorts = 0
+    sort = losses._hinge_counts
+
+    def counted(*args):
+        nonlocal sorts
+        sorts += 1
+        return sort(*args)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(losses, "_hinge_counts", counted)
+        _losses({call: _HINGE_CALLS[call]})(layout)
+    assert sorts == taken, f"{sorts} hinge sorts, the crossover rule makes {int(taken)}"
+
+
+def _simce_slabs_of_the_block_rule(forced, default, layout, call, taken):
+    """Where taken, the default call ran _simce_slab once per block of the fewest anchor
+    blocks of at most _SIMCE_BLOCK_ELEMS grid elements (one anchor a block when larger)."""
+    if not taken:
+        return _same_bits_as_forced(forced, default, layout, call, taken)
     slabs = 0
     slab = losses._simce_slab
 
@@ -263,11 +290,13 @@ def _simce_slabs_of_the_block_rule(fast, default, layout, call):
     assert slabs == -(-n_rows // rows), f"{slabs} simce slabs, the block rule makes {-(-n_rows // rows)}"
 
 
-def _stacked_loss_calls(fast, default, layout, call):
-    """The default check called the loss on the base batch and then once per block of
-    the block rule's copies on each side: 1 + 2 ceil(B D / copies) calls.  A check
-    that stopped at the base batch made no block call to count."""
-    if not isinstance(default, str):
+def _stacked_loss_calls(forced, default, layout, call, taken):
+    """Where taken, the default check called the loss on the base batch and then once
+    per block of the block rule's copies on each side: 1 + 2 ceil(B D / copies) calls.
+    A check that stopped at the base batch made no block call to count."""
+    if not taken:
+        _same_bits_as_forced(forced, default, layout, call, taken)
+    elif not isinstance(default, str):
         blocks = -(-layout.data.size // _gradcheck_copies(layout))
         assert default[1] == 1 + 2 * blocks, f"{default[1]:.0f} loss calls, the block rule makes {1 + 2 * blocks}"
 
@@ -346,7 +375,7 @@ class FastPath:
     slow: object           # forces the reference path on every layout
     kernel: Callable       # layout -> {call: output}
     taken: Callable        # (layout, call) -> whether the default takes the fast path
-    took_fast: Callable    # (fast, default, layout, call) -> None, where taken
+    took_path: Callable    # (forced, default, layout, call, taken) -> None
     promise: Callable      # (fast, slow, layout) -> None
     oracle: Callable       # (default, layout, call) -> None
     oracle_labellings: tuple  # the labellings just past the crossover
@@ -360,7 +389,7 @@ PATHS = {
     "sorted-hinge": FastPath(
         losses, "_HINGE_SORT_MIN_P", 1, 10**9, _losses(_HINGE_CALLS),
         lambda layout, call: anchor_layout(layout.labels).pos_idx.shape[1] >= losses._HINGE_SORT_MIN_P,
-        _same_bits_as_forced, _same_counts_and_gradient_bits(1e-12), _hinge_oracle, ("singleton-31",)),
+        _hinge_sorts_where_taken, _same_bits, _hinge_oracle, ("singleton-42",)),
     "factored-simce": FastPath(
         losses, "_simce_factors", None, lambda *args: None, _losses(_SIMCE_CALLS), _factored,
         _same_bits_as_forced, _within_1e13, _simce_oracle, ("pk-2x4", "pk-4x4")),
@@ -368,7 +397,7 @@ PATHS = {
         losses, "_SIMCE_BLOCK_ELEMS", 1, 2**62, _losses(_SIMCE_CALLS),
         lambda layout, call: (_factored(layout, call) and
                               anchor_layout(layout.labels).grid.size > losses._SIMCE_BLOCK_ELEMS),
-        _simce_slabs_of_the_block_rule, _same_counts_and_gradient_bits(1e-13), _simce_oracle, ("pk-8x9",)),
+        _simce_slabs_of_the_block_rule, _same_counts_and_gradient_bits, _simce_oracle, ("pk-8x9",)),
     "stacked-gradcheck": FastPath(
         analysis, "_GRADCHECK_BLOCK_ELEMS", 2**62, 1, _gradchecks,
         lambda layout, call: _gradcheck_copies(layout) > 1,
@@ -405,10 +434,7 @@ def test_fast_path_forced_both_ways(name, labelling):
                         assert run == slow
                     else:
                         path.promise(run, slow, layout)
-                if taken:
-                    path.took_fast(fast, default, layout, call)
-                else:
-                    assert _bits(default) == _bits(slow), "the default left the reference path"
+                path.took_path(fast if taken else slow, default, layout, call, taken)
                 if oracle_here:
                     path.oracle(default, layout, call)
             except AssertionError as exc:
@@ -417,9 +443,10 @@ def test_fast_path_forced_both_ways(name, labelling):
 
 @pytest.mark.parametrize("name", PATHS)
 def test_fast_path_straddles_its_crossover_and_moves_bits(name):
-    """The layouts fall on both sides of the row's crossover, and every call the
-    default sends down the fast path leaves the reference run's bits on some
-    layout, so no promise of the table holds vacuously."""
+    """The layouts fall on both sides of the row's crossover, and, unless the row
+    promises the reference run's bits, every call the default sends down the fast
+    path leaves them on some layout, so no promise of the table holds vacuously
+    (a bit-identical row shows its path by its spy)."""
     path = PATHS[name]
     sides, taken_calls, moved_calls = set(), set(), set()
     for layout in LAYOUTS:
@@ -431,4 +458,38 @@ def test_fast_path_straddles_its_crossover_and_moves_bits(name):
                 if _bits(default) != _bits(slow):
                     moved_calls.add(call)
     assert sides == {False, True}, f"{name}: the layouts do not straddle its crossover"
-    assert taken_calls == moved_calls, f"{name}: never off the reference bits on {taken_calls - moved_calls}"
+    if path.promise is not _same_bits:
+        assert taken_calls == moved_calls, f"{name}: never off the reference bits on {taken_calls - moved_calls}"
+
+
+# ---------------------------------------------------------------------------
+# the sorted hinge on arbitrary layouts: shuffled, unbalanced, singleton
+# classes, no pair at all, P up to 12
+
+
+@st.composite
+def _hinge_layouts(draw):
+    sizes = draw(st.lists(st.integers(1, 13), min_size=2, max_size=5))
+    labels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(
+        np.repeat(np.arange(len(sizes)), sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (labels.size, draw(st.integers(2, 4)))
+    # integer rows tie distances, so hinge arguments tie at margins 0 and 1
+    data = rng.integers(1, 4, shape) * 1.0 if draw(st.booleans()) else rng.standard_normal(shape)
+    return data, labels
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(drawn=_hinge_layouts())
+def test_the_sorted_hinge_keeps_its_promise_on_arbitrary_layouts(drawn):
+    """Forced to sort and forced to the grid, every call of the row, both reductions
+    and both similarity gradients, returns the same value, gradient and counter bits."""
+    data, labels = drawn
+    path, layout = PATHS["sorted-hinge"], Layout("drawn", "drawn", labels, data)
+    runs = []
+    for value in (path.fast, path.slow):
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(path.owner, path.switch, value)
+            runs.append(path.kernel(layout))
+    for call, fast in runs[0].items():
+        path.promise(fast, runs[1][call], layout)

@@ -257,20 +257,26 @@ class TestModelParams:
         save_model(model, path)
         assert load_model(path).hidden_weight is None
 
-    @pytest.mark.parametrize("name, value", [("extra", [1.0]), ("embed_bias", "drop"),
-                                             ("head_weight", "drop")])
-    def test_load_refuses_what_save_model_does_not_write(self, name, value, tmp_path):
-        """A missing array or a name ModelParams does not take is an InvalidConfigError
-        that names the file, so the CLI reports it in one line, not a traceback."""
+    @pytest.mark.parametrize("name, value, reason", [
+        ("extra", [1.0], "extra"), ("embed_bias", "drop", "embed_bias"), ("head_weight", "drop", "head_weight"),
+        ("embed_weight", [[1.0, 2.0], [3.0]], "inhomogeneous"),
+        (None, "[1.0, 2.0]", "top level must be a JSON object"), (None, "not json", "Expecting value")])
+    def test_load_refuses_what_save_model_does_not_write(self, name, value, reason, tmp_path):
+        """A missing array, a name ModelParams does not take, a ragged array, a JSON list
+        or text that is no JSON is an InvalidConfigError that names the file, so the CLI
+        reports it in one line, not a traceback.  With no name, value is the whole file."""
         path = tmp_path / "model.json"
         save_model(ModelParams.init(np.random.default_rng(46), 3, 2, 2), path)
         payload = json.loads(path.read_text(encoding="ascii"))
-        if value == "drop":
-            del payload[name]
+        if name is None:
+            path.write_text(value, encoding="ascii")
         else:
-            payload[name] = value
-        path.write_text(json.dumps(payload), encoding="ascii")
-        with pytest.raises(InvalidConfigError, match=re.escape(f"{path} is not a saved model: ") + f".*{name}"):
+            if value == "drop":
+                del payload[name]
+            else:
+                payload[name] = value
+            path.write_text(json.dumps(payload), encoding="ascii")
+        with pytest.raises(InvalidConfigError, match=re.escape(f"{path} is not a saved model: ") + f".*{reason}"):
             load_model(path)
 
 
