@@ -241,8 +241,9 @@ def _hinge(geo: BatchGeometry, cfg: LossConfig, ap: np.ndarray, an: np.ndarray):
     the weight each (a, p) and (a, n) collects from its active triplets, n_non, n_total.
 
     The counts come from _hinge_counts from P = _HINGE_SORT_MIN_P on and from the grid
-    below it, the same bits either way, and so do the value and gradient summed from
-    them; only counted slots enter the sums (a non-finite v or an left inactive stays out).
+    below it, the same bits either way, and so do the gradient and the value, sum k v - sum c an
+    over counted slots (a non-finite v or an left inactive stays out).  Its error is about
+    B (P + M) eps_mach of sum k |v| + sum c |an|, so near-tied hinges may sum below 0: it clamps to 0.
     """
     lay = geo.layout
     v = cfg.margin + ap
@@ -251,7 +252,7 @@ def _hinge(geo: BatchGeometry, cfg: LossConfig, ap: np.ndarray, an: np.ndarray):
     else:
         active = (v[..., None] > an[..., None, :]) & lay.grid
         k, c = active.sum(axis=-1), active.sum(axis=-2)
-    total = (k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0)
+    total = np.maximum((k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0), 0.0)
     n_non = k.sum(axis=(-2, -1), keepdims=True)  # arrays, not scalars: NumPy's faster path
     counted = n_non if cfg.reduction == "mean_over_nonzero" else np.full_like(n_non, lay.n_triplets)
     denom = np.maximum(counted, 1.0)

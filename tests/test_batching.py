@@ -250,7 +250,7 @@ def _capacity_message(fn):
 
 
 class TestPKIndex:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(_label_pools())
     def test_same_rows_stream_and_errors_as_the_label_scan(self, pool):
         """Over a prebuilt index, 20 draws give the rows the label-scan

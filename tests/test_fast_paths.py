@@ -13,12 +13,13 @@ the default run is the reference run bit for bit short of the crossover, and
 past it keeps the promise and took the fast path: it is the forced fast run
 bit for bit or, where forcing changes the fast path's own shape (simce's
 anchor blocks, batch_gradcheck's blocks of copies) or the fast path returns
-the reference's bits (the sorted hinge), a spy counts its calls; and, on the label layouts the row
+the reference's bits (the sorted hinge), a spy counts its calls in the default
+run (the sorted hinge's on both sides of the crossover); and, on the label layouts the row
 names, the default run agrees with the loop oracles of ``loop_oracles.py``;
 one test case per row and labelling, so a failure names both.  Across all layouts, a second test per row checks that
 past the crossover every call of a row that does not promise the reference's
 bits leaves them on some layout, so no promise holds vacuously.  The three runs of a row on a layout
-are computed once and shared by both tests.
+and the spy's count are computed once and shared by both tests.
 """
 
 import functools
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from metriclab import ClassifierHead, LossConfig, analysis, core, losses
@@ -97,8 +98,9 @@ LAYOUTS = [Layout(name, kind, labels, _rows(kind, labels.size, dim, _rng))
 
 
 # ---------------------------------------------------------------------------
-# kernels: a layout -> {call: output}, a loss output being its LossResult or
-# the message of the NonFiniteError it raised
+# kernels: a layout -> {call: a function of no arguments that returns the call's
+# output}, a loss output being its LossResult or the message of the NonFiniteError
+# it raised
 
 
 _HINGE_CALLS = {
@@ -123,15 +125,15 @@ def _losses(calls):
         batch = _unchecked_batch(layout.data, layout.labels)
         head = ClassifierHead.init(np.random.default_rng(0), int(layout.labels.max()) + 1,
                                    layout.data.shape[1])
-        out = {}
-        for key, (name, cfg) in calls.items():
-            if layout.labels.size <= 72 or key in _WIDE_CALLS:
-                with np.errstate(all="ignore"):
-                    try:
-                        out[key] = losses.LOSSES[name](batch, cfg, head)
-                    except NonFiniteError as exc:
-                        out[key] = str(exc)
-        return out
+
+        def run(name, cfg):
+            with np.errstate(all="ignore"):
+                try:
+                    return losses.LOSSES[name](batch, cfg, head)
+                except NonFiniteError as exc:
+                    return str(exc)
+        return {key: functools.partial(run, name, cfg) for key, (name, cfg) in calls.items()
+                if layout.labels.size <= 72 or key in _WIDE_CALLS}
     return kernel
 
 
@@ -143,7 +145,7 @@ def _gradcheck_copies(layout):
 
 
 def _gradchecks(layout):
-    """{loss: [error, loss calls, largest |value| of a call, largest |analytic gradient
+    """{loss: run of [error, loss calls, largest |value| of a call, largest |analytic gradient
     entry|]} of batch_gradcheck, default LossConfig, or the message of the error it raised.
 
     Each check counts its loss calls (the spy of the stacked-gradcheck row), so
@@ -159,8 +161,8 @@ def _gradchecks(layout):
         return {}
     head = ClassifierHead.init(np.random.default_rng(0), int(layout.labels.max()) + 1,
                                layout.data.shape[1])
-    out = {}
-    for name in ("triplet",) if rows > 32 else losses.LOSSES:
+
+    def run(name):
         seen = []
 
         def spy(batch):
@@ -171,11 +173,10 @@ def _gradchecks(layout):
             try:
                 error = analysis.batch_gradcheck(spy, _unchecked_batch(layout.data, layout.labels))
             except (EvaluationError, NonFiniteError) as exc:
-                out[name] = str(exc)
-                continue
-        out[name] = np.array([error, len(seen), max(np.abs(r.value).max() for r in seen),
-                              np.abs(seen[0].grad).max()])
-    return out
+                return str(exc)
+        return np.array([error, len(seen), max(np.abs(r.value).max() for r in seen),
+                         np.abs(seen[0].grad).max()])
+    return {name: functools.partial(run, name) for name in (("triplet",) if rows > 32 else losses.LOSSES)}
 
 
 def _bits(out):
@@ -245,58 +246,34 @@ def _same_verdict_and_error_within_rounding(fast, slow, layout):
 
 
 # ---------------------------------------------------------------------------
-# (forced, default, layout, call, taken) -> None: the default took the fast path
-# where taken, else the reference path; forced is the run forced to that path
+# (fast, default, spied, layout, call, taken) -> None: where taken, the default
+# took the fast path; spied counts the default's calls of the row's spy
 
 
-def _same_bits_as_forced(forced, default, layout, call, taken):
-    assert _bits(default) == _bits(forced), f"the default left the {'fast' if taken else 'reference'} path"
+def _same_bits_as_forced(fast, default, spied, layout, call, taken):
+    if taken:
+        assert _bits(default) == _bits(fast), "the default left the fast path"
 
 
-def _hinge_sorts_where_taken(forced, default, layout, call, taken):
+def _hinge_sorts_where_taken(fast, default, sorts, layout, call, taken):
     """The default call ran _hinge_counts once where taken, and never elsewhere."""
-    sorts = 0
-    sort = losses._hinge_counts
-
-    def counted(*args):
-        nonlocal sorts
-        sorts += 1
-        return sort(*args)
-
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(losses, "_hinge_counts", counted)
-        _losses({call: _HINGE_CALLS[call]})(layout)
     assert sorts == taken, f"{sorts} hinge sorts, the crossover rule makes {int(taken)}"
 
 
-def _simce_slabs_of_the_block_rule(forced, default, layout, call, taken):
+def _simce_slabs_of_the_block_rule(fast, default, slabs, layout, call, taken):
     """Where taken, the default call ran _simce_slab once per block of the fewest anchor
     blocks of at most _SIMCE_BLOCK_ELEMS grid elements (one anchor a block when larger)."""
-    if not taken:
-        return _same_bits_as_forced(forced, default, layout, call, taken)
-    slabs = 0
-    slab = losses._simce_slab
-
-    def counted(*args):
-        nonlocal slabs
-        slabs += 1
-        return slab(*args)
-
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(losses, "_simce_slab", counted)
-        _losses({call: _SIMCE_CALLS[call]})(layout)
-    n_rows, p, m = anchor_layout(layout.labels).grid.shape
-    rows = max(1, losses._SIMCE_BLOCK_ELEMS // (p * m))
-    assert slabs == -(-n_rows // rows), f"{slabs} simce slabs, the block rule makes {-(-n_rows // rows)}"
+    if taken:
+        n_rows, p, m = anchor_layout(layout.labels).grid.shape
+        blocks = -(-n_rows // max(1, losses._SIMCE_BLOCK_ELEMS // (p * m)))
+        assert slabs == blocks, f"{slabs} simce slabs, the block rule makes {blocks}"
 
 
-def _stacked_loss_calls(forced, default, layout, call, taken):
+def _stacked_loss_calls(fast, default, spied, layout, call, taken):
     """Where taken, the default check called the loss on the base batch and then once
     per block of the block rule's copies on each side: 1 + 2 ceil(B D / copies) calls.
     A check that stopped at the base batch made no block call to count."""
-    if not taken:
-        _same_bits_as_forced(forced, default, layout, call, taken)
-    elif not isinstance(default, str):
+    if taken and not isinstance(default, str):
         blocks = -(-layout.data.size // _gradcheck_copies(layout))
         assert default[1] == 1 + 2 * blocks, f"{default[1]:.0f} loss calls, the block rule makes {1 + 2 * blocks}"
 
@@ -373,9 +350,10 @@ class FastPath:
     switch: str            # the constant or function that selects the path
     fast: object           # forces the fast path on every layout (None: the default does)
     slow: object           # forces the reference path on every layout
-    kernel: Callable       # layout -> {call: output}
+    kernel: Callable       # layout -> {call: run}
     taken: Callable        # (layout, call) -> whether the default takes the fast path
-    took_path: Callable    # (forced, default, layout, call, taken) -> None
+    spy: str | None        # the function of owner whose calls the default run counts
+    took_path: Callable    # (fast, default, spied, layout, call, taken) -> None
     promise: Callable      # (fast, slow, layout) -> None
     oracle: Callable       # (default, layout, call) -> None
     oracle_labellings: tuple  # the labellings just past the crossover
@@ -383,62 +361,89 @@ class FastPath:
 
 PATHS = {
     "gram-dist": FastPath(
-        core, "_DIST_GRAM_MIN_ROWS", 1, 10**9, lambda layout: {"dist": core._pairwise_dist(layout.data)},
-        lambda layout, call: layout.labels.size >= core._DIST_GRAM_MIN_ROWS,
+        core, "_DIST_GRAM_MIN_ROWS", 1, 10**9,
+        lambda layout: {"dist": functools.partial(core._pairwise_dist, layout.data)},
+        lambda layout, call: layout.labels.size >= core._DIST_GRAM_MIN_ROWS, None,
         _same_bits_as_forced, _gram_bound, _dist_oracle, ("pk-4x8", "no-pair-32", "pk-9x8", "pk-8x9")),
     "sorted-hinge": FastPath(
         losses, "_HINGE_SORT_MIN_P", 1, 10**9, _losses(_HINGE_CALLS),
         lambda layout, call: anchor_layout(layout.labels).pos_idx.shape[1] >= losses._HINGE_SORT_MIN_P,
-        _hinge_sorts_where_taken, _same_bits, _hinge_oracle, ("singleton-42",)),
+        "_hinge_counts", _hinge_sorts_where_taken, _same_bits, _hinge_oracle, ("singleton-42",)),
     "factored-simce": FastPath(
-        losses, "_simce_factors", None, lambda *args: None, _losses(_SIMCE_CALLS), _factored,
+        losses, "_simce_factors", None, lambda *args: None, _losses(_SIMCE_CALLS), _factored, None,
         _same_bits_as_forced, _within_1e13, _simce_oracle, ("pk-2x4", "pk-4x4")),
     "blocked-simce": FastPath(
         losses, "_SIMCE_BLOCK_ELEMS", 1, 2**62, _losses(_SIMCE_CALLS),
         lambda layout, call: (_factored(layout, call) and
                               anchor_layout(layout.labels).grid.size > losses._SIMCE_BLOCK_ELEMS),
-        _simce_slabs_of_the_block_rule, _same_counts_and_gradient_bits, _simce_oracle, ("pk-8x9",)),
+        "_simce_slab", _simce_slabs_of_the_block_rule, _same_counts_and_gradient_bits, _simce_oracle, ("pk-8x9",)),
     "stacked-gradcheck": FastPath(
         analysis, "_GRADCHECK_BLOCK_ELEMS", 2**62, 1, _gradchecks,
-        lambda layout, call: _gradcheck_copies(layout) > 1,
+        lambda layout, call: _gradcheck_copies(layout) > 1, None,
         _stacked_loss_calls, _same_verdict_and_error_within_rounding, lambda *args: None, ()),
 }
 
 
+def _forced(path, value, run):
+    """run() with the row's switch set to value (None: as it is)."""
+    with pytest.MonkeyPatch.context() as patched:
+        if value is not None:
+            patched.setattr(path.owner, path.switch, value)
+        return run()
+
+
+def _spied(path, run):
+    """run() and the number of calls it made of the row's spy (0 without one)."""
+    calls = 0
+    with pytest.MonkeyPatch.context() as patched:
+        if path.spy is not None:
+            spied = getattr(path.owner, path.spy)
+
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return spied(*args)
+
+            patched.setattr(path.owner, path.spy, counted)
+        output = run()
+    return output, calls
+
+
 @functools.cache
 def _runs(name, layout):
-    """{call: (forced fast, forced reference, default output)} of the row's kernel on the layout."""
+    """{call: (forced fast, forced reference, default output, the default's calls of
+    the row's spy)} of the row's kernel on the layout."""
     path = PATHS[name]
-    runs = []
-    for value in (path.fast, path.slow, None):
-        with pytest.MonkeyPatch.context() as patched:
-            if value is not None:
-                patched.setattr(path.owner, path.switch, value)
-            runs.append(path.kernel(layout))
-    return {call: tuple(run[call] for run in runs) for call in runs[2]}
+    return {call: (_forced(path, path.fast, run), _forced(path, path.slow, run), *_spied(path, run))
+            for call, run in path.kernel(layout).items()}
+
+
+def _check_layout(name, layout, oracle_here):
+    path = PATHS[name]
+    for call, (fast, slow, default, spied) in _runs(name, layout).items():
+        taken = path.taken(layout, call)
+        try:
+            for run in (fast, default) if taken else (fast,):
+                if isinstance(run, str) or isinstance(slow, str):
+                    assert run == slow
+                else:
+                    path.promise(run, slow, layout)
+            if not taken:
+                assert _bits(default) == _bits(slow), "the default left the reference path"
+            path.took_path(fast, default, spied, layout, call, taken)
+            if oracle_here:
+                path.oracle(default, layout, call)
+        except AssertionError as exc:
+            raise AssertionError(f"{name} on {layout.labelling}-{layout.kind}, {call}: {exc}") from exc
 
 
 @pytest.mark.parametrize("labelling", [labelling for labelling, _, _ in _LABELS])
 @pytest.mark.parametrize("name", PATHS)
 def test_fast_path_forced_both_ways(name, labelling):
-    path = PATHS[name]
     for layout in (layout for layout in LAYOUTS if layout.labelling == labelling):
         with np.errstate(over="ignore"):
             finite = bool(np.all(np.isfinite(np.sum(layout.data ** 2, axis=1))))
-        oracle_here = labelling in path.oracle_labellings and (finite or name == "gram-dist")
-        for call, (fast, slow, default) in _runs(name, layout).items():
-            taken = path.taken(layout, call)
-            try:
-                for run in (fast, default) if taken else (fast,):
-                    if isinstance(run, str) or isinstance(slow, str):
-                        assert run == slow
-                    else:
-                        path.promise(run, slow, layout)
-                path.took_path(fast if taken else slow, default, layout, call, taken)
-                if oracle_here:
-                    path.oracle(default, layout, call)
-            except AssertionError as exc:
-                raise AssertionError(f"{name} on {labelling}-{layout.kind}, {call}: {exc}") from exc
+        _check_layout(name, layout, labelling in PATHS[name].oracle_labellings and (finite or name == "gram-dist"))
 
 
 @pytest.mark.parametrize("name", PATHS)
@@ -450,7 +455,7 @@ def test_fast_path_straddles_its_crossover_and_moves_bits(name):
     path = PATHS[name]
     sides, taken_calls, moved_calls = set(), set(), set()
     for layout in LAYOUTS:
-        for call, (fast, slow, default) in _runs(name, layout).items():
+        for call, (fast, slow, default, spied) in _runs(name, layout).items():
             taken = path.taken(layout, call)
             sides.add(taken)
             if taken:
@@ -479,17 +484,10 @@ def _hinge_layouts(draw):
     return data, labels
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(drawn=_hinge_layouts())
 def test_the_sorted_hinge_keeps_its_promise_on_arbitrary_layouts(drawn):
     """Forced to sort and forced to the grid, every call of the row, both reductions
-    and both similarity gradients, returns the same value, gradient and counter bits."""
+    and both similarity gradients, returns the same value, gradient and counter bits,
+    and the default takes the path the crossover rule names."""
     data, labels = drawn
-    path, layout = PATHS["sorted-hinge"], Layout("drawn", "drawn", labels, data)
-    runs = []
-    for value in (path.fast, path.slow):
-        with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(path.owner, path.switch, value)
-            runs.append(path.kernel(layout))
-    for call, fast in runs[0].items():
-        path.promise(fast, runs[1][call], layout)
+    _check_layout("sorted-hinge", Layout("drawn", "drawn", labels, data), oracle_here=False)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from metriclab import (
@@ -28,6 +28,7 @@ from metriclab import (
     sample_gradcheck_batch,
     simce_loss,
     triplet_loss,
+    losses,
     weight_from_sim,
 )
 from metriclab.batching import anchor_layout
@@ -143,6 +144,22 @@ class TestTripletLoss:
         res_all = triplet_loss(batch, LossConfig(reduction="mean_over_all"))
         np.testing.assert_allclose(
             res_nz.value * res_nz.n_non, res_all.value * res_all.n_total, atol=1e-12)
+
+    @pytest.mark.parametrize("sort_min_p", [1, 10**9], ids=["sorted", "grid"])
+    def test_near_tied_hinges_never_sum_below_zero(self, monkeypatch, sort_min_p):
+        """Rows of a rotation scaled by 1e3 are all about 1414 apart, so every active
+        hinge is a few ulps: the value, a difference of two sums near 1414 n_non, may
+        round below 0 (it does on three of these twelve batches) and must clamp to 0 on either path."""
+        monkeypatch.setattr(losses, "_HINGE_SORT_MIN_P", sort_min_p)
+        for sizes in ([7, 7, 7], [14, 14]):
+            labels = np.repeat(np.arange(len(sizes)), sizes)
+            for seed in range(6):
+                rows = np.linalg.qr(np.random.default_rng(seed).standard_normal((labels.size,) * 2))[0]
+                batch = EmbeddingBatch(1e3 * rows, labels)
+                for loss in (triplet_loss, s_triplet_loss):
+                    for reduction in REDUCTIONS:
+                        result = loss(batch, LossConfig(margin=0.0, reduction=reduction))
+                        assert result.n_non > 0 and result.value >= 0.0, (sizes, seed, loss.__name__)
 
     def test_translation_invariance(self):
         """Distances ignore a common shift, so the value must too."""
@@ -634,7 +651,6 @@ class TestNoPositivePair:
 # positive pair at all), both reductions and every flag
 
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 PAIR_LOSSES = {"triplet": triplet_loss, "s_triplet": s_triplet_loss,
                "simce": simce_loss, "m_simce": m_simce_loss}
 
@@ -664,7 +680,6 @@ _loss_configs = st.builds(
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_LOSSES))
-@PROPERTY_SETTINGS
 @given(drawn=_labelled_data(), cfg=_loss_configs)
 def test_pair_losses_match_loop_oracles_on_arbitrary_layouts(name, drawn, cfg):
     data, labels = drawn
@@ -687,7 +702,6 @@ def test_pair_losses_match_loop_oracles_on_arbitrary_layouts(name, drawn, cfg):
 @pytest.mark.parametrize("variant", COMBINED_VARIANTS)
 @pytest.mark.parametrize("detach", [False, True], ids=["attached", "detached"])
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "cosine"])
-@PROPERTY_SETTINGS
 @given(drawn=_labelled_data(), head_seed=st.integers(0, 2**32 - 1))
 def test_combined_loss_is_the_bitwise_sum_of_the_public_losses(variant, detach, normalize,
                                                                drawn, head_seed):
@@ -712,7 +726,6 @@ def test_combined_loss_is_the_bitwise_sum_of_the_public_losses(variant, detach, 
 
 
 @pytest.mark.parametrize("temperature", [0.05, 0.7, 3.0])
-@PROPERTY_SETTINGS
 @given(drawn=_labelled_data(), normalize=st.booleans())
 def test_simce_matches_the_loop_oracle_at_every_temperature(temperature, drawn, normalize):
     """Value and gradient against the per-triplet logaddexp loop, on unbalanced,
@@ -818,7 +831,6 @@ def _stacks(draw):
     return rng.standard_normal((k, labels.size, dim)) * scale[:, None, None], labels
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(drawn=_stacks())
 def test_stacked_calls_agree_with_the_loop_on_arbitrary_layouts(drawn):
     _check_stack_against_loop(*drawn)
