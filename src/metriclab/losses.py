@@ -198,60 +198,20 @@ def _grad_from_cos(C: np.ndarray, unit: np.ndarray, norms: np.ndarray, S: np.nda
     return (R @ unit - (R * S).sum(axis=-1)[..., None] * unit) / norms[..., None]
 
 
-# Fewest positive slots per anchor (P) at which _hinge sorts instead of counting
-# over the (B, P, M) grid: O(B (P + M) log(P + M)) plus about 25 us more fixed cost
-# a call, against O(B P M).  One hinge call on unit rows, d = 16, median thread time
-# on one pinned CPU of a 2-vCPU VM, median of five runs, grid / sort, for (N, K) PK
-# batches: (4, 4) 22 / 45 us, (8, 8) 92 / 117 us, (8, 13) 286 / 263 us, (8, 14) 347 /
-# 291 us, (4, 32) 0.86 / 0.40 ms: the sort leads or ties from P = 13 up to N = 8, and
-# at N = 16 the two are close from P = 13: (16, 14) 1.54 / 1.62, (16, 16) 2.09 / 2.08 ms.
-_HINGE_SORT_MIN_P = 13
-
-
-def _hinge_counts(v: np.ndarray, y: np.ndarray, lay: AnchorLayout):
-    """k[a, p] = #{n : y[a, n] < v[a, p]} and c[a, n] = #{p : v[a, p] > y[a, n]} over
-    the layout's real slots (0 in padded ones), from one sort per anchor.
-
-    v and y must be >= 0 or NaN, so they order as their bit patterns: each is
-    keyed 2 * bits + tag, tag 1 for a negative, and a threshold sorts before an
-    equal negative, a tie staying inactive as under v > y.  Padded and NaN
-    thresholds key to 0 and padded negatives to the largest key, so they count
-    nothing; the shift drops the sign bit, so -0.0 keys as 0.0 and a NaN
-    negative of either sign sorts past every threshold.  So k and c are the
-    grid's sums on every input.
-    """
-    width = v.shape[-1]
-    one = np.uint64(1)
-    keys = np.concatenate([
-        np.where(lay.pos_mask & (v == v), v.view(np.uint64) << one, np.uint64(0)),
-        np.where(lay.neg_mask, (y.view(np.uint64) << one) | one, np.uint64(np.iinfo(np.uint64).max)),
-    ], axis=-1)
-    order = np.argsort(keys, axis=-1)
-    is_neg = order >= width
-    negs_so_far = np.cumsum(is_neg, axis=-1)
-    # a threshold counts the negatives before it, a negative the thresholds after it
-    thresholds_after = negs_so_far + (width - 1 - np.arange(keys.shape[-1]))
-    counts = np.empty_like(negs_so_far)
-    np.put_along_axis(counts, order, np.where(is_neg, thresholds_after, negs_so_far), axis=-1)
-    return counts[..., :width], counts[..., width:]
-
-
 def _hinge(geo: BatchGeometry, cfg: LossConfig, ap: np.ndarray, an: np.ndarray):
     """Reduced relu(margin + ap[a, p] - an[a, n]) over the batch's triplets: the value,
     the weight each (a, p) and (a, n) collects from its active triplets, n_non, n_total.
 
-    The counts come from _hinge_counts from P = _HINGE_SORT_MIN_P on and from the grid
-    below it, the same bits either way, and so do the gradient and the value, sum k v - sum c an
-    over counted slots (a non-finite v or an left inactive stays out).  Its error is about
-    B (P + M) eps_mach of sum k |v| + sum c |an|, so near-tied hinges may sum below 0: it clamps to 0.
+    The (B, P, M) grid counts each slot's active triplets, k per (a, p) and c per (a, n), and
+    the value is sum k v - sum c an over counted slots (a non-finite v or an left inactive
+    stays out).  Its error is about B (P + M) eps_mach of sum k |v| + sum c |an|, so
+    near-tied hinges may sum below 0: it clamps to 0.
     """
     lay = geo.layout
     v = cfg.margin + ap
-    if ap.shape[-1] >= _HINGE_SORT_MIN_P:
-        k, c = _hinge_counts(v, an, lay)
-    else:
-        active = (v[..., None] > an[..., None, :]) & lay.grid
-        k, c = active.sum(axis=-1), active.sum(axis=-2)
+    active = (v[..., None] > an[..., None, :]) & lay.grid
+    # int32 counts, each at most P or M: faster over the grid than NumPy's default int64 sums
+    k, c = active.sum(axis=-1, dtype=np.int32), active.sum(axis=-2, dtype=np.int32)
     total = np.maximum((k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0), 0.0)
     n_non = k.sum(axis=(-2, -1), keepdims=True)  # arrays, not scalars: NumPy's faster path
     counted = n_non if cfg.reduction == "mean_over_nonzero" else np.full_like(n_non, lay.n_triplets)

@@ -12,14 +12,16 @@ each the forced fast run keeps the promise against the forced reference run;
 the default run is the reference run bit for bit short of the crossover, and
 past it keeps the promise and took the fast path: it is the forced fast run
 bit for bit or, where forcing changes the fast path's own shape (simce's
-anchor blocks, batch_gradcheck's blocks of copies) or the fast path returns
-the reference's bits (the sorted hinge), a spy counts its calls in the default
-run (the sorted hinge's on both sides of the crossover); and, on the label layouts the row
-names, the default run agrees with the loop oracles of ``loop_oracles.py``;
-one test case per row and labelling, so a failure names both.  Across all layouts, a second test per row checks that
-past the crossover every call of a row that does not promise the reference's
-bits leaves them on some layout, so no promise holds vacuously.  The three runs of a row on a layout
-and the spy's count are computed once and shared by both tests.
+anchor blocks, batch_gradcheck's blocks of copies), a spy counts its calls
+in the default run or the check counts its loss calls; and, on the label
+layouts the row names, the default run agrees with the loop oracles of
+``loop_oracles.py``; one test case per row and labelling, so a failure names
+both.  Across all layouts, a second test per row checks that past the
+crossover every call leaves the reference's bits on some layout, so no
+promise holds vacuously.  The three runs of a row on a layout and the spy's
+count are computed once and shared by both tests.  The rows but the stacked
+gradcheck also run on drawn arbitrary layouts, and the hinge, which has one
+path, is checked against its loop oracle on drawn layouts too.
 """
 
 import functools
@@ -51,8 +53,8 @@ class Layout:
 
 
 # (labelling, labels, dim): 8, 16, 31, 32, 42 and 72 rows around the Gram form's 32;
-# P = 8 and 13 positive slots per anchor around the sorted hinge's 13; simce grids
-# of one anchor block (up to (72, 7, 64)), of two, and of 29 at (16, 16)
+# P up to 13 on unbalanced shuffled classes; simce grids of one anchor block (up to
+# (72, 7, 64)), of two, and of 29 at (16, 16)
 _LABELS = [
     ("pk-2x4", np.repeat(np.arange(2), 4), 3),
     ("pk-4x4", np.repeat(np.arange(4), 4), 3),
@@ -108,16 +110,14 @@ _HINGE_CALLS = {
         (name, LossConfig(margin=margin, reduction=reduction, detach_similarity=detach))
     for name, detach in (("triplet", False), ("s_triplet", False), ("s_triplet", True))
     for margin in (0.0, 0.3, 1.0) for reduction in REDUCTIONS
-} | {variant: (variant, LossConfig()) for variant in ("combined_simce", "combined_m_simce")}
+}
 _SIMCE_CALLS = {
     f"{'cosine' if normalize else 'raw'}-T{temperature}":
         ("simce", LossConfig(temperature=temperature, normalize_for_simce=normalize))
     for normalize in (False, True) for temperature in (0.05, 0.7, 1.0, 3.0)
 }
-# (16, 16) runs the reference runs' hinges, the combined losses and one temperature
-_WIDE_CALLS = {"triplet-m0.3-mean_over_nonzero", "s_triplet-m0.3-mean_over_nonzero",
-               "s_triplet-detached-m0.3-mean_over_nonzero", "combined_simce", "combined_m_simce",
-               "raw-T0.7", "cosine-T0.7"}
+# (16, 16) runs one temperature
+_WIDE_CALLS = {"raw-T0.7", "cosine-T0.7"}
 
 
 def _losses(calls):
@@ -153,8 +153,8 @@ def _gradchecks(layout):
     its values keep the reference's bits, as the hinge losses' do (see the
     stacked-call test of test_losses.py).  The reference path makes two loss calls per coordinate, so the row keeps
     to batches of at most 256 coordinates: every kind up to 64, the Gaussian
-    kind above; every loss up to 32 rows, and the plain hinge on pk-8x9 and on
-    singleton-42, the one that sorts its hinge.
+    kind above; every loss up to 32 rows, and the plain hinge on pk-8x9 and
+    singleton-42.
     """
     rows, coordinates = layout.labels.size, layout.data.size
     if coordinates > 256 or coordinates > 64 and layout.kind != "gauss":
@@ -205,11 +205,6 @@ def _gram_bound(fast, slow, layout):
     assert np.all(np.abs(d2 - s2) <= (rho * (dim + 2) + dim + 4) * EPS * s2)
 
 
-def _same_bits(fast, slow, layout):
-    """Value, gradient and counts bit-identical."""
-    assert _bits(fast) == _bits(slow)
-
-
 def _same_counts_and_gradient_bits(fast, slow, layout):
     """Counts and gradients bit-identical, the value within 1e-13: simce's total
     is summed block by block."""
@@ -255,11 +250,6 @@ def _same_bits_as_forced(fast, default, spied, layout, call, taken):
         assert _bits(default) == _bits(fast), "the default left the fast path"
 
 
-def _hinge_sorts_where_taken(fast, default, sorts, layout, call, taken):
-    """The default call ran _hinge_counts once where taken, and never elsewhere."""
-    assert sorts == taken, f"{sorts} hinge sorts, the crossover rule makes {int(taken)}"
-
-
 def _simce_slabs_of_the_block_rule(fast, default, slabs, layout, call, taken):
     """Where taken, the default call ran _simce_slab once per block of the fewest anchor
     blocks of at most _SIMCE_BLOCK_ELEMS grid elements (one anchor a block when larger)."""
@@ -296,15 +286,13 @@ def _dist_oracle(dist, layout, call):
     assert np.all(np.abs(d2 - o2) <= (rho * (dim + 2) + dim + 4) * EPS * o2)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=6)  # one layout's three margins, plain and weighted
 def _oracle_hinge_args(layout, margin, weighted):
     return hinge_args(layout.data, layout.labels, LossConfig(margin=margin), weighted)
 
 
 def _hinge_oracle(result, layout, call):
     name, cfg = _HINGE_CALLS[call]
-    if name.startswith("combined"):
-        return
     args = _oracle_hinge_args(layout, cfg.margin, name == "s_triplet")
     assert result.n_total == args.size
     # at an exact tie, whether the weighted argument rounds to 0 or to +-1 ulp
@@ -365,10 +353,6 @@ PATHS = {
         lambda layout: {"dist": functools.partial(core._pairwise_dist, layout.data)},
         lambda layout, call: layout.labels.size >= core._DIST_GRAM_MIN_ROWS, None,
         _same_bits_as_forced, _gram_bound, _dist_oracle, ("pk-4x8", "no-pair-32", "pk-9x8", "pk-8x9")),
-    "sorted-hinge": FastPath(
-        losses, "_HINGE_SORT_MIN_P", 1, 10**9, _losses(_HINGE_CALLS),
-        lambda layout, call: anchor_layout(layout.labels).pos_idx.shape[1] >= losses._HINGE_SORT_MIN_P,
-        "_hinge_counts", _hinge_sorts_where_taken, _same_bits, _hinge_oracle, ("singleton-42",)),
     "factored-simce": FastPath(
         losses, "_simce_factors", None, lambda *args: None, _losses(_SIMCE_CALLS), _factored, None,
         _same_bits_as_forced, _within_1e13, _simce_oracle, ("pk-2x4", "pk-4x4")),
@@ -448,10 +432,9 @@ def test_fast_path_forced_both_ways(name, labelling):
 
 @pytest.mark.parametrize("name", PATHS)
 def test_fast_path_straddles_its_crossover_and_moves_bits(name):
-    """The layouts fall on both sides of the row's crossover, and, unless the row
-    promises the reference run's bits, every call the default sends down the fast
-    path leaves them on some layout, so no promise of the table holds vacuously
-    (a bit-identical row shows its path by its spy)."""
+    """The layouts fall on both sides of the row's crossover, and every call the
+    default sends down the fast path leaves the reference run's bits on some
+    layout, so no promise of the table holds vacuously."""
     path = PATHS[name]
     sides, taken_calls, moved_calls = set(), set(), set()
     for layout in LAYOUTS:
@@ -463,31 +446,66 @@ def test_fast_path_straddles_its_crossover_and_moves_bits(name):
                 if _bits(default) != _bits(slow):
                     moved_calls.add(call)
     assert sides == {False, True}, f"{name}: the layouts do not straddle its crossover"
-    if path.promise is not _same_bits:
-        assert taken_calls == moved_calls, f"{name}: never off the reference bits on {taken_calls - moved_calls}"
+    assert taken_calls == moved_calls, f"{name}: never off the reference bits on {taken_calls - moved_calls}"
+
+
+# the hinge has one path, so it has no row: on every labelling the losses run
+# (up to 72 rows) its default run meets the loop oracle on every finite kind
+
+
+@pytest.mark.parametrize("labelling", [labelling for labelling, labels, _ in _LABELS if labels.size <= 72])
+def test_hinge_matches_the_loop_oracle_on_every_finite_layout(labelling):
+    """Both hinges, both similarity gradients of the weighted one, margins 0, 0.3 and 1
+    and both reductions: the triplet count, the plain hinge's active count and the
+    value agree with the per-triplet loop on the fixed layouts."""
+    layouts = [layout for layout in LAYOUTS if layout.labelling == labelling]
+    with np.errstate(over="ignore"):
+        finite = [layout for layout in layouts if np.all(np.isfinite(np.sum(layout.data ** 2, axis=1)))]
+    assert finite
+    for layout in finite:
+        for call, run in _losses(_HINGE_CALLS)(layout).items():
+            try:
+                _hinge_oracle(run(), layout, call)
+            except AssertionError as exc:
+                raise AssertionError(f"{layout.labelling}-{layout.kind}, {call}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# the sorted hinge on arbitrary layouts: shuffled, unbalanced, singleton
-# classes, no pair at all, P up to 12
+# arbitrary layouts: shuffled, unbalanced, singleton classes, no pair at all,
+# P up to 12
 
 
 @st.composite
-def _hinge_layouts(draw):
-    sizes = draw(st.lists(st.integers(1, 13), min_size=2, max_size=5))
+def _drawn_layouts(draw, max_classes=5):
+    sizes = draw(st.lists(st.integers(1, 13), min_size=2, max_size=max_classes))
     labels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(
         np.repeat(np.arange(len(sizes)), sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (labels.size, draw(st.integers(2, 4)))
     # integer rows tie distances, so hinge arguments tie at margins 0 and 1
     data = rng.integers(1, 4, shape) * 1.0 if draw(st.booleans()) else rng.standard_normal(shape)
-    return data, labels
+    return Layout("drawn", "drawn", labels, data)
 
 
-@given(drawn=_hinge_layouts())
-def test_the_sorted_hinge_keeps_its_promise_on_arbitrary_layouts(drawn):
-    """Forced to sort and forced to the grid, every call of the row, both reductions
-    and both similarity gradients, returns the same value, gradient and counter bits,
-    and the default takes the path the crossover rule names."""
-    data, labels = drawn
-    _check_layout("sorted-hinge", Layout("drawn", "drawn", labels, data), oracle_here=False)
+@given(layout=_drawn_layouts())
+def test_hinge_count_and_value_match_the_loop_oracle_on_arbitrary_layouts(layout):
+    """Both hinges, both similarity gradients of the weighted one, margins 0, 0.3 and 1
+    and both reductions: the triplet count, the plain hinge's active count and the
+    value agree with the per-triplet loop."""
+    for call, run in _losses(_HINGE_CALLS)(layout).items():
+        try:
+            _hinge_oracle(run(), layout, call)
+        except AssertionError as exc:
+            raise AssertionError(f"{call}: {exc}") from exc
+
+
+# up to 8 classes, 104 rows: 5 classes of at most 13 rows seldom pass the blocked
+# simce's 32,768 grid elements; the stacked gradcheck is left out, since its
+# reference path makes 2 B D + 1 loss calls a check
+@pytest.mark.parametrize("name", ["gram-dist", "factored-simce", "blocked-simce"])
+@given(layout=_drawn_layouts(max_classes=8))
+def test_fast_path_keeps_its_promise_on_arbitrary_layouts(name, layout):
+    """Forced fast, forced reference and default runs keep the row's promise, the
+    default is the reference run bit for bit short of the crossover, and it took
+    the fast path past it."""
+    _check_layout(name, layout, oracle_here=False)

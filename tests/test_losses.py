@@ -9,6 +9,7 @@ stated in the docstrings of the tests that freeze them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,8 @@ from loop_oracles import (
     simce_terms,
 )
 
+EPS = np.finfo(np.float64).eps
+
 
 # ---------------------------------------------------------------------------
 # brute-force reference implementations beside loop_oracles.py
@@ -59,6 +62,22 @@ def _plain_hinge_terms(data, labels, cfg):
 
 def _weighted_hinge_terms(data, labels, cfg):
     return np.maximum(hinge_args(data, labels, cfg, weighted=True), 0.0)
+
+
+def _exact_hinge_sum(v, an, lay):
+    """The exact sum of v[a, p] - an[a, n] over the layout's real triplets with v > an,
+    the number of those triplets, and sum k |v| + sum c |an| over them (k and c each
+    slot's active count), from one comparison per triplet."""
+    exact, n_active, scale = Fraction(0), 0, []
+    for a in range(v.shape[0]):
+        thresholds, negatives = v[a][lay.pos_mask[a]].tolist(), an[a][lay.neg_mask[a]].tolist()
+        k = [sum(x > y for y in negatives) for x in thresholds]
+        c = [sum(x > y for x in thresholds) for y in negatives]
+        exact += sum(n * Fraction(x) for n, x in zip(k, thresholds))
+        exact -= sum(n * Fraction(y) for n, y in zip(c, negatives))
+        n_active += sum(k)
+        scale += [n * abs(x) for n, x in zip(k + c, thresholds + negatives)]
+    return exact, n_active, math.fsum(scale)
 
 
 def _ce_value(data, labels, head):
@@ -145,12 +164,10 @@ class TestTripletLoss:
         np.testing.assert_allclose(
             res_nz.value * res_nz.n_non, res_all.value * res_all.n_total, atol=1e-12)
 
-    @pytest.mark.parametrize("sort_min_p", [1, 10**9], ids=["sorted", "grid"])
-    def test_near_tied_hinges_never_sum_below_zero(self, monkeypatch, sort_min_p):
+    def test_near_tied_hinges_never_sum_below_zero(self):
         """Rows of a rotation scaled by 1e3 are all about 1414 apart, so every active
         hinge is a few ulps: the value, a difference of two sums near 1414 n_non, may
-        round below 0 (it does on three of these twelve batches) and must clamp to 0 on either path."""
-        monkeypatch.setattr(losses, "_HINGE_SORT_MIN_P", sort_min_p)
+        round below 0 (it does on three of these twelve batches) and must clamp to 0."""
         for sizes in ([7, 7, 7], [14, 14]):
             labels = np.repeat(np.arange(len(sizes)), sizes)
             for seed in range(6):
@@ -160,6 +177,37 @@ class TestTripletLoss:
                     for reduction in REDUCTIONS:
                         result = loss(batch, LossConfig(margin=0.0, reduction=reduction))
                         assert result.n_non > 0 and result.value >= 0.0, (sizes, seed, loss.__name__)
+
+    def test_hinge_value_is_within_its_stated_bound_of_the_exact_sum(self, monkeypatch):
+        """Both hinges' values against the exact rational sum of the active hinges, taken
+        from the binary64 v = margin + ap and an that _hinge reads: within its docstring's
+        B (P + M) eps_mach (sum k |v| + sum c |an|), plus the division's half ulp of
+        the sum, over the count the reduction divides by.  Twelve batches at (4, 4),
+        (8, 8) and (3, 6), half of them rotations scaled by 1e3 at margin 0, whose
+        near-tied hinges the value clamps."""
+        hinge, read = losses._hinge, []
+
+        def spy(geo, cfg, ap, an):
+            read.append((geo.layout, cfg.margin + ap, an))
+            return hinge(geo, cfg, ap, an)
+
+        monkeypatch.setattr(losses, "_hinge", spy)
+        for n_classes, per_class in ((4, 4), (8, 8), (3, 6)):
+            labels = np.repeat(np.arange(n_classes), per_class)
+            for seed, rotated in ((0, False), (1, False), (2, True), (3, True)):
+                rows = np.random.default_rng(seed).standard_normal((labels.size,) * 2)
+                batch = EmbeddingBatch(1e3 * np.linalg.qr(rows)[0] if rotated else rows, labels)
+                margin = 0.0 if rotated else 0.6
+                for loss in (triplet_loss, s_triplet_loss):
+                    values = {reduction: loss(batch, LossConfig(margin=margin, reduction=reduction)).value
+                              for reduction in REDUCTIONS}
+                    lay, v, an = read[-1]
+                    exact, n_non, scale = _exact_hinge_sum(v, an, lay)
+                    bound = (v.shape[0] * (v.shape[1] + an.shape[1]) + 1) * EPS * scale
+                    for reduction, value in values.items():
+                        denom = max(n_non if reduction == "mean_over_nonzero" else lay.n_triplets, 1)
+                        error = abs(Fraction(value) - exact / denom)
+                        assert n_non > 0 and error <= bound / denom, (n_classes, seed, loss.__name__, reduction)
 
     def test_translation_invariance(self):
         """Distances ignore a common shift, so the value must too."""
@@ -746,7 +794,6 @@ def test_simce_matches_the_loop_oracle_at_every_temperature(temperature, drawn, 
 # 2-D calls, for every LOSSES entry
 
 
-EPS = np.finfo(np.float64).eps
 # raw scores at T = 1 and 0.05 (where the 8x batches of _stacks stop factoring) and cosines
 _STACK_CONFIGS = (LossConfig(), LossConfig(temperature=0.05),
                   LossConfig(margin=1.0, reduction="mean_over_all", normalize_for_simce=True,
