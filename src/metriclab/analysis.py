@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+import scipy
 
 from .batching import BatchSpec, anchor_layout
 from .core import EmbeddingBatch, _unchecked_batch
@@ -128,7 +128,7 @@ def simce_trace_closed(a, p, n, temperature: float = 1.0) -> HessianReport:
     p = np.asarray(p, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
     z = float((a @ n - a @ p) / temperature)
-    sig = float(expit(z))
+    sig = float(scipy.special.expit(z))
     closed = sig * (1.0 - sig) * float(a @ a) / temperature**2
 
     def value(v):

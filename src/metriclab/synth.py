@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .core import _write_csv
 from .errors import (DegenerateConcentrationError, DimensionMismatchError, InvalidSpecError, _check_fields,
@@ -66,7 +66,7 @@ def vmf_density(x, params: VmfParams):
         log_norm = (
             nu * math.log(params.kappa)
             - (d / 2.0) * math.log(2.0 * math.pi)
-            - math.log(float(special.ive(nu, params.kappa)))
+            - math.log(float(scipy.special.ive(nu, params.kappa)))
             - params.kappa
         )
         # an elementwise row sum, so a stack gives each row's single-point value bit for bit

@@ -7,9 +7,11 @@ the entry's line there, and runs the entry's test node ids against the copy
 with ``pytest -x``; the entry passes when a test fails.  Before any mutant it
 runs every named test against an unchanged copy and requires them to pass, so
 a failure under a mutant is the mutant's doing.  An entry whose line is not in
-its file exactly once fails the runner, so the table follows the code.  Exit
-status 0 when every mutant is killed, 1 otherwise.  Not a test module: Tier-1
-does not collect it.
+its file exactly once fails the runner, so the table follows the code.  An
+entry with a ``survives`` reason is a known equivalent mutant: its tests must
+pass, so the reason is dropped the day a test kills it.  Exit status 0 when
+every mutant meets its entry, 1 otherwise.  Not a test module: Tier-1 does
+not collect it.
 """
 
 import os
@@ -30,10 +32,12 @@ class Mutant:
     line: str           # an exact source line, indentation included
     replacement: str
     killers: tuple      # test node ids, one of which must fail
+    survives: str = ""  # why no test can kill it; such a mutant must pass its killers
 
 
 _HINGE_ORACLE = "tests/test_fast_paths.py::test_hinge_count_and_value_match_the_loop_oracle_on_arbitrary_layouts"
 _HINGE_CLAMP = "tests/test_losses.py::TestTripletLoss::test_near_tied_hinges_never_sum_below_zero"
+_PARAM_GRADS = "tests/test_training.py::TestModelForward::test_parameter_gradients_match_finite_differences"
 
 MUTANTS = [
     Mutant("a tied hinge counts as active", "src/metriclab/losses.py",
@@ -49,6 +53,29 @@ MUTANTS = [
            " - (c * an).sum(axis=(-2, -1), where=c > 0), 0.0)",
            "    total = (k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0)",
            (_HINGE_CLAMP,)),
+    Mutant("scipy.special loads at import", "src/metriclab/synth.py",
+           "import scipy",
+           "import scipy.special",
+           ("tests/test_cli.py::TestConsoleScript::test_scipy_special_loads_only_for_the_commands_that_use_it",)),
+    Mutant("the Gram product is the bare GEMM", "src/metriclab/core.py",
+           "    return G + G.swapaxes(-1, -2)",
+           "    return X @ X.swapaxes(-1, -2)",
+           ("tests/test_core.py::TestGramScores::test_symmetric_to_the_bit_and_near_the_loop_oracle",),
+           survives="NumPy computes X @ X.T by SYRK, symmetric to the bit and within every bound; "
+                    "only its bits and its time differ, and no test pins either"),
+    Mutant("no embed-bias gradient", "src/metriclab/training.py",
+           '    grad_embed.sum(axis=0, out=grads["embed_bias"])',
+           "    pass",
+           (_PARAM_GRADS,)),
+    Mutant("no head-gradient copy", "src/metriclab/training.py",
+           '        grads["head_weight"][...], grads["head_bias"][...]'
+           ' = result.head_grad_weight, result.head_grad_bias',
+           "        pass",
+           (_PARAM_GRADS,)),
+    Mutant("the int field rule accepts every value", "src/metriclab/errors.py",
+           '    "int": (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool), "an integer"),',
+           '    "int": (lambda v: True, "an integer"),',
+           ("tests/test_training.py::TestTrainConfig::test_integer_fields_refuse_floats_and_booleans",)),
 ]
 
 
@@ -95,9 +122,13 @@ def main() -> int:
             if reason is None:
                 status = _pytest(src, mutant.killers)
                 # 1: a test failed; anything else (no tests, a collection error) kills nothing
-                reason = None if status == 1 else f"pytest exit {status}, expected 1"
+                expected = 0 if mutant.survives else 1
+                reason = None if status == expected else f"pytest exit {status}, expected {expected}"
             failed += reason is not None
-            print(f"{'killed' if reason is None else 'FAIL'} {mutant.name}" + (f": {reason}" if reason else ""))
+            if reason is not None:
+                print(f"FAIL {mutant.name}: {reason}")
+            else:
+                print(f"survives {mutant.name} ({mutant.survives})" if mutant.survives else f"killed {mutant.name}")
     return 1 if failed else 0
 
 

@@ -640,3 +640,27 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert "margin-check: PASS" in proc.stdout
         assert subprocess.run(argv + ["-1"], capture_output=True, text=True, env=env).returncode == 1
+
+    def test_scipy_special_loads_only_for_the_commands_that_use_it(self, tmp_path):
+        """A 0-iteration train in a fresh interpreter never imports scipy.special (its
+        import is about half of a cold start); hessian-check, which calls expit, does load it."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "total_iters": 0}}),
+                          encoding="ascii")
+        package_root = str(Path(metriclab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+        def loads_special(argv):
+            script = ("import sys, metriclab.cli\n"
+                      f"status = metriclab.cli.run({argv!r})\n"
+                      "print(status, 'scipy.special' in sys.modules)")
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            status, loaded = proc.stdout.split()[-2:]
+            assert status == "0", proc.stdout
+            return loaded == "True"
+
+        assert not loads_special(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert (tmp_path / "run" / "manifest.json").is_file()
+        assert loads_special(["hessian-check", "--trials", "1"])

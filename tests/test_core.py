@@ -5,8 +5,10 @@ against independent brute-force recomputations inside the tests; exact
 constants come from hand arithmetic noted in the docstrings.
 """
 
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from metriclab import (
     write_sim_matrix_csv,
 )
 from metriclab.batching import BatchSpec, anchor_layout, pk_index
-from metriclab.core import _cosine_values, _unchecked_batch, _unit_rows
+from metriclab.core import (_DIST_GRAM_MIN_ROWS, _DIST_RECOMPUTE_RATIO, _cosine_values, _pairwise_dist,
+                            _unchecked_batch, _unit_rows)
 from metriclab.errors import DegenerateVectorError, InvalidLabelError
 from metriclab.evaluation import GalleryProbeSplit, variance_ratio
 from metriclab.losses import BatchGeometry, LossConfig
@@ -30,6 +33,14 @@ def _random_pk_batch(rng, n_classes, samples_per_class, dim):
     data = rng.standard_normal((n_classes * samples_per_class, dim))
     labels = np.repeat(np.arange(n_classes), samples_per_class)
     return EmbeddingBatch(data, labels)
+
+
+_EPS = Fraction(np.finfo(np.float64).eps)
+
+
+def _exact_rows(X):
+    """The rows of a (B, D) binary64 array as lists of exact Fractions."""
+    return [[Fraction(v) for v in row] for row in X.tolist()]
 
 
 def _dist(*rows):
@@ -62,6 +73,24 @@ class TestEuclideanDist:
         rng = np.random.default_rng(11)
         D = _dist(*rng.standard_normal((12, 5)))
         assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + 1e-9)
+
+    @pytest.mark.parametrize("rows, dim, offset", [(32, 3, 0.0), (32, 16, 0.0), (64, 16, 0.0), (48, 8, 3.5)])
+    def test_gram_form_is_within_its_bound_of_the_exact_squares(self, rows, dim, offset):
+        """From _DIST_GRAM_MIN_ROWS rows each squared distance is within rho (D + 2) eps_mach
+        of the exact sum of squared differences of the binary64 rows, relative, as the
+        _pairwise_dist docstring states; the returned distance adds one correctly rounded
+        square root, a further relative 2u + u^2 (u = eps_mach / 2) of the computed square.
+        The offset rows cancel: n_i + n_j sits near rho d^2, on both sides of the recompute."""
+        X = np.random.default_rng(60 + rows + dim).standard_normal((rows, dim)) + offset
+        assert rows >= _DIST_GRAM_MIN_ROWS
+        d = _pairwise_dist(X)
+        rel = _DIST_RECOMPUTE_RATIO * (dim + 2) * _EPS
+        u = _EPS / 2
+        F = _exact_rows(X)
+        for i, j in itertools.combinations_with_replacement(range(rows), 2):
+            exact = sum((a - b) ** 2 for a, b in zip(F[i], F[j]))
+            bound = (rel + (2 * u + u * u) * (1 + rel)) * exact
+            assert abs(Fraction(d[i, j]) ** 2 - exact) <= bound, (i, j)
 
 
 class TestEmbeddingBatch:
@@ -198,6 +227,22 @@ class TestGramScores:
             np.testing.assert_array_equal(bits, bits.swapaxes(-1, -2))
             exact, size = _fsum_products(rows)
             assert np.all(np.abs(scores - exact) <= (X.shape[-1] + 2) * np.finfo(float).eps * size)
+
+    @pytest.mark.parametrize("name", sorted(n for n, X in _GRAM_ROWS.items() if X[..., 0].size <= 64))
+    def test_near_the_exact_sum_of_the_binary64_products(self, name):
+        """The same (D + 2) eps_mach sum_k |x_k y_k| bound, against the exact sum of
+        the products of the binary64 rows the Gram product reads, by Fraction: the fsum
+        oracle above adds up products that are rounded themselves."""
+        X = _GRAM_ROWS[name]
+        geo = BatchGeometry(_unchecked_batch(X, np.arange(X.shape[-2]) % 2))
+        for rows, normalize in ((X, False), (geo.unit_norms[0], True)):
+            scores = geo.scores(LossConfig(normalize_for_simce=normalize))
+            for batch, got in zip(rows.reshape(-1, *rows.shape[-2:]), scores.reshape(-1, *scores.shape[-2:])):
+                F = _exact_rows(batch)
+                for i, j in itertools.combinations_with_replacement(range(len(F)), 2):
+                    products = [a * b for a, b in zip(F[i], F[j])]
+                    bound = (X.shape[-1] + 2) * _EPS * sum(map(abs, products))
+                    assert abs(Fraction(got[i, j]) - sum(products)) <= bound, (normalize, i, j)
 
     @pytest.mark.parametrize("name", sorted(_GRAM_ROWS))
     def test_cosines_are_valid(self, name):
