@@ -10,10 +10,10 @@ points (k, *point.shape) to k values, so a single point gives a scalar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .batching import BatchSpec, anchor_layout
 from .core import EmbeddingBatch, _unchecked_batch
@@ -113,6 +113,18 @@ def triplet_trace_closed(v) -> float:
     return (v.size - 1) / norm
 
 
+def _expit(z: float) -> float:
+    """The logistic 1 / (1 + exp(-z)) by scipy.special.expit's own formula, so the same bits.
+
+    Below z = -709.78, exp(-z) leaves the float range: math.exp raises where
+    expit's exp gives inf, and both give 0.  NumPy's exp rounds differently.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
+
+
 def simce_trace_closed(a, p, n, temperature: float = 1.0) -> HessianReport:
     """Hessian trace of the two-way softmax loss in its negative, both ways.
 
@@ -128,7 +140,7 @@ def simce_trace_closed(a, p, n, temperature: float = 1.0) -> HessianReport:
     p = np.asarray(p, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
     z = float((a @ n - a @ p) / temperature)
-    sig = float(scipy.special.expit(z))
+    sig = _expit(z)
     closed = sig * (1.0 - sig) * float(a @ a) / temperature**2
 
     def value(v):

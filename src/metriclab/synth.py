@@ -185,17 +185,20 @@ def gen_dataset(spec: DatasetSpec) -> SynthDataset:
     subcluster but keep their original label row, so exactly
     round(noise_fraction * n) rows are mislabelled on purpose.
     """
+    d, total = spec.input_dim, spec.n_samples
+    try:  # before the first draw, so a dataset too large to hold fails at once
+        features = np.empty((total, d))
+        labels = np.empty(total, dtype=np.int64)
+        subclusters = np.empty(total, dtype=np.int64)
+        sub_means = np.empty((spec.n_classes, spec.subclusters_per_class, d))
+    except (MemoryError, ValueError) as exc:  # ValueError: past NumPy's largest dimension
+        raise InvalidSpecError(f"cannot allocate the dataset's n_samples x input_dim = {total} x {d} "
+                               f"float64 features: {exc}") from None
     rng = np.random.default_rng(spec.seed)
-    d = spec.input_dim
     class_means = np.stack([_uniform_sphere(rng, d) for _ in range(spec.n_classes)])
-    sub_means = np.empty((spec.n_classes, spec.subclusters_per_class, d))
     for c in range(spec.n_classes):
         for j in range(spec.subclusters_per_class):
             sub_means[c, j] = sample_vmf(VmfParams(class_means[c], spec.class_kappa), rng)
-    total = spec.n_samples
-    features = np.empty((total, d))
-    labels = np.empty(total, dtype=np.int64)
-    subclusters = np.empty(total, dtype=np.int64)
     row = 0
     for c in range(spec.n_classes):
         for j in range(spec.subclusters_per_class):

@@ -38,6 +38,10 @@ class Mutant:
 _HINGE_ORACLE = "tests/test_fast_paths.py::test_hinge_count_and_value_match_the_loop_oracle_on_arbitrary_layouts"
 _HINGE_CLAMP = "tests/test_losses.py::TestTripletLoss::test_near_tied_hinges_never_sum_below_zero"
 _PARAM_GRADS = "tests/test_training.py::TestModelForward::test_parameter_gradients_match_finite_differences"
+_STACKED_CALLS = "tests/test_losses.py::test_stacked_calls_agree_with_the_loop_of_their_batches"
+_STACKED_GRADCHECK = tuple(f"tests/test_fast_paths.py::test_fast_path_forced_both_ways[stacked-gradcheck-{labelling}]"
+                           for labelling in ("pk-2x8", "singleton-31"))
+_SCIPY_SPECIAL = "tests/test_cli.py::TestConsoleScript::test_scipy_special_loads_only_for_the_commands_that_use_it"
 
 MUTANTS = [
     Mutant("a tied hinge counts as active", "src/metriclab/losses.py",
@@ -53,10 +57,35 @@ MUTANTS = [
            " - (c * an).sum(axis=(-2, -1), where=c > 0), 0.0)",
            "    total = (k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0)",
            (_HINGE_CLAMP,)),
+    Mutant("a hinge value summed over the stack axis", "src/metriclab/losses.py",
+           "    total = np.maximum((k * v).sum(axis=(-2, -1), where=k > 0)"
+           " - (c * an).sum(axis=(-2, -1), where=c > 0), 0.0)",
+           "    total = np.maximum((k * v).sum(where=k > 0) - (c * an).sum(where=c > 0), 0.0)",
+           (_STACKED_CALLS,)),
+    Mutant("one simce shift shared across a stack", "src/metriclab/losses.py",
+           "    c = (0.5 * (lo + hi))[ok][..., None, None]",
+           "    c = 0.5 * (lo.min() + hi.max())",
+           (_STACKED_CALLS,)),
+    Mutant("gradcheck blocks sent in reverse", "src/metriclab/analysis.py",
+           "                               for i in range(0, len(stack), copies)])",
+           "                               for i in reversed(range(0, len(stack), copies))])",
+           _STACKED_GRADCHECK),
+    Mutant("a doubled gradcheck block budget", "src/metriclab/analysis.py",
+           "    copies = max(1, _GRADCHECK_BLOCK_ELEMS // per_copy)",
+           "    copies = max(1, 2 * _GRADCHECK_BLOCK_ELEMS // per_copy)",
+           _STACKED_GRADCHECK),
     Mutant("scipy.special loads at import", "src/metriclab/synth.py",
            "import scipy",
            "import scipy.special",
-           ("tests/test_cli.py::TestConsoleScript::test_scipy_special_loads_only_for_the_commands_that_use_it",)),
+           (_SCIPY_SPECIAL,)),
+    Mutant("the logistic by NumPy's exp", "src/metriclab/analysis.py",
+           "        return 1.0 / (1.0 + math.exp(-z))",
+           "        return 1.0 / (1.0 + float(np.exp(-z)))",
+           ("tests/test_analysis.py::TestSimceTraceClosed::test_expit_is_scipy_expit_to_the_bit",)),
+    Mutant("the simce Hessian probe loads scipy.special", "src/metriclab/analysis.py",
+           "import math",
+           "import math\nimport scipy.special",
+           (_SCIPY_SPECIAL,)),
     Mutant("the Gram product is the bare GEMM", "src/metriclab/core.py",
            "    return G + G.swapaxes(-1, -2)",
            "    return X @ X.swapaxes(-1, -2)",
@@ -72,6 +101,14 @@ MUTANTS = [
            ' = result.head_grad_weight, result.head_grad_bias',
            "        pass",
            (_PARAM_GRADS,)),
+    Mutant("a head that is not a view of model.flat", "src/metriclab/training.py",
+           '        self.head = ClassifierHead(views["head_weight"], views["head_bias"])',
+           '        self.head = ClassifierHead(views["head_weight"].copy(), views["head_bias"].copy())',
+           ("tests/test_training.py::TestModelParams::test_construction_packs_the_arrays_into_one_vector",)),
+    Mutant("an array past NumPy's largest dimension escapes as NumPy's error", "src/metriclab/synth.py",
+           "    except (MemoryError, ValueError) as exc:  # ValueError: past NumPy's largest dimension",
+           "    except MemoryError as exc:",
+           ("tests/test_cli.py::TestUsageAndConfigErrors::test_a_dataset_too_large_to_hold_fails_before_its_first_draw",)),
     Mutant("the int field rule accepts every value", "src/metriclab/errors.py",
            '    "int": (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool), "an integer"),',
            '    "int": (lambda v: True, "an integer"),',

@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from metriclab import (
     ClassifierHead,
@@ -235,6 +236,41 @@ class TestSimceTraceClosed:
         a = np.array([1.0, 0.0])
         with pytest.raises(InvalidConfigError):
             simce_trace_closed(a, a, a, 0.0)
+
+    @pytest.mark.parametrize("temperature", [1.0, 1e-2, 1e-3])
+    def test_closed_form_is_scipy_expit_to_the_bit(self, temperature, monkeypatch):
+        """closed_form_trace is expit(z) (1 - expit(z)) ||a||^2 / T^2 to the bit, with
+        z = (a.n - a.p) / T from 0 out past -709.78, where exp(-z) overflows
+        (reached at T = 1e-2 and 1e-3), and at z = +-inf and nan.  The numeric
+        column refuses a non-finite base value, so it is stubbed here."""
+        monkeypatch.setattr(analysis, "numeric_hessian_trace", lambda *args, **kwargs: 0.0)
+        rng = np.random.default_rng(29)
+        a = np.array([0.6, -0.8])
+        gaps = np.concatenate([[0.0, 1e-300, -1e-300, 3.6, -3.6, 3.8, -3.8, np.inf, -np.inf, np.nan],
+                               rng.uniform(-4.0, 4.0, 400)])
+        seen = set()
+        for gap in gaps.tolist():
+            n = a * gap
+            p = -n
+            z = float((a @ n - a @ p) / temperature)
+            s = float(expit(z))
+            want = s * (1.0 - s) * float(a @ a) / temperature**2
+            got = simce_trace_closed(a, p, n, temperature).closed_form_trace
+            assert got == want or (math.isnan(got) and math.isnan(want)), (gap, z)
+            seen.add("nan" if math.isnan(z) else str(z) if math.isinf(z) else
+                     "overflow" if z < -709.79 else "zero" if z == 0.0 else "finite")
+        want_seen = {"nan", "inf", "-inf", "zero", "finite"} | ({"overflow"} if temperature < 1.0 else set())
+        assert seen == want_seen
+
+    def test_expit_is_scipy_expit_to_the_bit(self):
+        """The logistic keeps expit's bits and sign at +-0, +-inf, nan, the overflow
+        edge and a dense sweep of |z| <= 750."""
+        rng = np.random.default_rng(30)
+        zs = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 709.78, -709.78, -709.79,
+                              -745.2, -746.0, 5e-324, -5e-324, 1e308, -1e308],
+                             rng.uniform(-750.0, 750.0, 20_000), 5.0 * rng.standard_normal(20_000)])
+        got = np.array([analysis._expit(z) for z in zs.tolist()])
+        np.testing.assert_array_equal(got.view(np.int64), expit(zs).view(np.int64))
 
 
 class TestHessianReportType:

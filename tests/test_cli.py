@@ -61,6 +61,12 @@ def _value_id(value) -> str:
     return {_PAST_FLOAT: "10**400", -_PAST_FLOAT: "-10**400"}.get(value, repr(value))
 
 
+def _fresh_interpreter_env() -> dict:
+    """The environment of a fresh interpreter that imports the metriclab under test."""
+    package_root = str(Path(metriclab.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "config.json"
@@ -361,6 +367,30 @@ class TestUsageAndConfigErrors:
         assert message in err and err.splitlines()[-1].startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_classes", [10**11, 2**63], ids=["10**11", "2**63"])
+    def test_a_dataset_too_large_to_hold_fails_before_its_first_draw(self, n_classes, tmp_path):
+        """gen-data refuses a dataset it cannot allocate with one error line that names
+        n_samples x input_dim, and exits 1 before --out exists; 10**11 classes used to
+        run on drawing class means.  The run is a subprocess under a 2 GB address-space
+        limit and a 30 s timeout, so a regression fails here and takes no more."""
+        dataset = dict(TINY_CONFIG["dataset"], n_classes=n_classes)
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(dict(TINY_CONFIG, dataset=dataset)), encoding="ascii")
+        env = _fresh_interpreter_env()
+        argv = ["gen-data", "--config", str(config), "--out", str(out)]
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "import metriclab.cli\n"
+                  f"sys.exit(metriclab.cli.run({argv!r}))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert proc.returncode == 1, proc.stderr
+        n_samples = n_classes * dataset["subclusters_per_class"] * dataset["samples_per_subcluster"]
+        assert proc.stderr.startswith(f"error: cannot allocate the dataset's n_samples x input_dim = "
+                                      f"{n_samples} x {dataset['input_dim']} float64 features: ")
+        assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, section, change, message", [
         ("gen-data", "dataset", {"seed": 1.5}, "seed must be an integer, got 1.5"),
         ("gen-data", "dataset", {"input_dim": None}, "missing key 'input_dim'"),
@@ -621,9 +651,7 @@ class TestConsoleScript:
             text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
             module, func = re.search(r'^metriclab\s*=\s*"([\w.]+):(\w+)"', text, re.M).groups()
             argv = [sys.executable, "-c", f"from {module} import {func}; {func}()"]
-            package_root = str(Path(metriclab.__file__).parents[1])
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+            env = _fresh_interpreter_env()
         proc = subprocess.run(argv + ["margin-check", "--trials", "1"],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -632,9 +660,7 @@ class TestConsoleScript:
     def test_module_entry_point(self):
         """`python -m metriclab.cli` runs the CLI in a fresh interpreter: a passing check
         prints its verdict and exits 0, and a refused option exits 1, not 0 with no output."""
-        package_root = str(Path(metriclab.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        env = _fresh_interpreter_env()
         argv = [sys.executable, "-m", "metriclab.cli", "margin-check", "--trials"]
         proc = subprocess.run(argv + ["1"], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -642,25 +668,34 @@ class TestConsoleScript:
         assert subprocess.run(argv + ["-1"], capture_output=True, text=True, env=env).returncode == 1
 
     def test_scipy_special_loads_only_for_the_commands_that_use_it(self, tmp_path):
-        """A 0-iteration train in a fresh interpreter never imports scipy.special (its
-        import is about half of a cold start); hessian-check, which calls expit, does load it."""
+        """A 0-iteration train and the hessian, gradient, margin and robustness checks,
+        each in a fresh interpreter, never import scipy.special (its import is about
+        half of a cold start and a quarter of peak RSS); vmf_density, which calls ive,
+        does load it."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "total_iters": 0}}),
                           encoding="ascii")
-        package_root = str(Path(metriclab.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        env = _fresh_interpreter_env()
 
-        def loads_special(argv):
-            script = ("import sys, metriclab.cli\n"
-                      f"status = metriclab.cli.run({argv!r})\n"
+        def loads_special(call, statuses=("0",)):
+            script = ("import sys, metriclab.cli, metriclab.synth\n"
+                      f"status = {call}\n"
                       "print(status, 'scipy.special' in sys.modules)")
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             status, loaded = proc.stdout.split()[-2:]
-            assert status == "0", proc.stdout
+            assert status in statuses, proc.stdout
             return loaded == "True"
 
-        assert not loads_special(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+        def cli(*argv):
+            return f"metriclab.cli.run({list(argv)!r})"
+
+        assert not loads_special(cli("train", "--config", str(config), "--out", str(tmp_path / "run")))
         assert (tmp_path / "run" / "manifest.json").is_file()
-        assert loads_special(["hessian-check", "--trials", "1"])
+        assert not loads_special(cli("hessian-check", "--trials", "5"))
+        assert not loads_special(cli("gradcheck", "--trials", "1"))
+        assert not loads_special(cli("margin-check"))
+        # exit 2 is a FAIL verdict: the quadratic control fails on some seeds (ROADMAP item 9)
+        assert not loads_special(cli("robustness-check", "--points", "1", "--samples", "1000"), ("0", "2"))
+        assert loads_special("int(metriclab.synth.vmf_density([0.0, 1.0, 0.0], "
+                             "metriclab.synth.VmfParams([1.0, 0.0, 0.0], 2.0)) > 0)", ("1",))
