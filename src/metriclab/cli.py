@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 for bad input (flags, config files, capacity),
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -497,7 +498,20 @@ def run(argv=None) -> int:
         return 1
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory for reuse (no trimming, no mmap below 32 MB), so a
+    (16, 16) step does not fault its multi-MB temporaries back in; nothing without mallopt."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main() -> None:
+    """The console entry point: run() in a process whose allocator keeps freed memory."""
+    _keep_freed_memory()
     sys.exit(run())
 
 

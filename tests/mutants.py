@@ -52,6 +52,10 @@ MUTANTS = [
            "    active = (v[..., None] > an[..., None, :]) & lay.grid",
            "    active = v[..., None] > an[..., None, :]",
            (_HINGE_ORACLE,)),
+    Mutant("hinge counts fixed at uint8", "src/metriclab/losses.py",
+           "    width = np.min_scalar_type(max(lay.grid.shape[1:]))",
+           "    width = np.uint8",
+           ("tests/test_losses.py::TestTripletLoss::test_counts_past_255_match_an_int64_count_of_the_grid",)),
     Mutant("the hinge value is not clamped at 0", "src/metriclab/losses.py",
            "    total = np.maximum((k * v).sum(axis=(-2, -1), where=k > 0)"
            " - (c * an).sum(axis=(-2, -1), where=c > 0), 0.0)",

@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,51 @@ class TestUsageAndConfigErrors:
         assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("loss", "margin", 1e308), ("train", "init_scale", 1e308), ("train", "lr0", 1e308),
+        ("train", "weight_decay", 1e308), ("train", "uniformity_t", 1e308),
+        ("loss", "temperature", 1e-300), ("train", "uniformity_t", 2**63),
+    ], ids=["margin-1e308", "init-scale-1e308", "lr0-1e308", "weight-decay-1e308",
+            "uniformity-t-1e308", "temperature-1e-300", "uniformity-t-2**63"])
+    def test_extreme_finite_values_end_in_one_error_line_when_warnings_are_errors(
+            self, section, key, value, tmp_path, capsys):
+        """Each value overflows or underflows somewhere in a 2-iteration run of
+        configs/ci-combined-simce.json.  Under warnings-as-errors each used to end in a
+        RuntimeWarning traceback, and both uniformity_t values trained on without them,
+        writing nan to evals.csv.  Each exits 1 with one error line, and a non-finite
+        uniformity names uniformity_t."""
+        payload = json.loads(Path("configs/ci-combined-simce.json").read_text(encoding="ascii"))
+        payload["train"]["total_iters"] = 2
+        payload[section][key] = value
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(payload), encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert key != "uniformity_t" or "uniformity_t" in err
+        assert not out.exists()
+
+    def test_eval_refuses_a_non_finite_uniformity_in_one_error_line_when_warnings_are_errors(
+            self, tmp_path, capsys):
+        """eval with uniformity_t 1e308 used to end in a RuntimeWarning traceback under
+        warnings-as-errors, and to write nan without them."""
+        payload = json.loads(Path("configs/ci-combined-simce.json").read_text(encoding="ascii"))
+        payload["train"]["total_iters"] = 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="ascii")
+        assert run(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        payload["train"]["uniformity_t"] = 1e308
+        path.write_text(json.dumps(payload), encoding="ascii")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["eval", "--config", str(path), "--model", str(tmp_path / "run" / "model.json"),
+                        "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: uniformity_t 1e+308 "), err
+
     @pytest.mark.parametrize("command, section, change, message", [
         ("gen-data", "dataset", {"seed": 1.5}, "seed must be an integer, got 1.5"),
         ("gen-data", "dataset", {"input_dim": None}, "missing key 'input_dim'"),
@@ -699,3 +745,36 @@ class TestConsoleScript:
         assert not loads_special(cli("robustness-check", "--points", "1", "--samples", "1000"), ("0", "2"))
         assert loads_special("int(metriclab.synth.vmf_density([0.0, 1.0, 0.0], "
                              "metriclab.synth.VmfParams([1.0, 0.0, 0.0], 2.0)) > 0)", ("1",))
+
+    def test_main_keeps_freed_memory_and_run_does_not(self, monkeypatch):
+        """The console entry point sets glibc's trim and mmap thresholds before it runs
+        the command; run(), which a caller embeds in its own process, leaves them alone."""
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        assert run(["margin-check", "--trials", "1"]) == 0
+        assert calls == []
+        monkeypatch.setattr(sys, "argv", ["metriclab", "margin-check", "--trials", "1"])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == 0
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+    @pytest.mark.parametrize("libc", [OSError("libc.so.6: cannot open shared object file"), object()],
+                             ids=["no-glibc", "no-mallopt"])
+    def test_main_runs_where_libc_has_no_mallopt(self, libc, monkeypatch):
+        def load(name):
+            if isinstance(libc, OSError):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        monkeypatch.setattr(sys, "argv", ["metriclab", "margin-check", "--trials", "1"])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == 0

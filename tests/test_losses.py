@@ -209,6 +209,35 @@ class TestTripletLoss:
                         error = abs(Fraction(value) - exact / denom)
                         assert n_non > 0 and error <= bound / denom, (n_classes, seed, loss.__name__, reduction)
 
+    def test_counts_past_255_match_an_int64_count_of_the_grid(self, monkeypatch):
+        """Classes of 300 rows and 2 rows: the small class's anchors have M = 300
+        negatives and the large class's P = 299 positives, so counts pass 255.  The
+        value, lam_p, lam_n and n_non equal, bit for bit, those built from int64
+        counts of the same grid, under both reductions."""
+        hinge, seen = losses._hinge, []
+
+        def spy(geo, cfg, ap, an):
+            out = hinge(geo, cfg, ap, an)
+            seen.append((geo.layout, cfg.margin + ap, an, out))
+            return out
+
+        monkeypatch.setattr(losses, "_hinge", spy)
+        labels = np.repeat([0, 1], [300, 2])
+        batch = EmbeddingBatch(np.random.default_rng(5).standard_normal((labels.size, 3)), labels)
+        for reduction in REDUCTIONS:
+            triplet_loss(batch, LossConfig(margin=1.0, reduction=reduction))
+            lay, v, an, (value, lam_p, lam_n, n_non, n_total) = seen[-1]
+            active = (v[..., None] > an[..., None, :]) & lay.grid
+            k, c = active.sum(axis=-1, dtype=np.int64), active.sum(axis=-2, dtype=np.int64)
+            assert lay.grid.shape == (302, 299, 300) and k.max() > 255 and c.max() > 255
+            assert 0 < k.sum() < lay.n_triplets
+            total = max((k * v).sum(axis=(-2, -1), where=k > 0) - (c * an).sum(axis=(-2, -1), where=c > 0), 0.0)
+            denom = float(max(k.sum() if reduction == "mean_over_nonzero" else lay.n_triplets, 1))
+            assert value == total / denom
+            np.testing.assert_array_equal(lam_p, k / denom)
+            np.testing.assert_array_equal(lam_n, c / denom)
+            assert (n_non, n_total) == (k.sum(), lay.n_triplets)
+
     def test_translation_invariance(self):
         """Distances ignore a common shift, so the value must too."""
         rng = np.random.default_rng(43)

@@ -510,9 +510,8 @@ class TestRunTraining:
         steps; the loop reports the iteration instead of emitting NaNs."""
         config = _small_config(loss=LossConfig(margin=10.0), total_iters=10,
                                eval_interval=100, lr0=1e200, lr_min=1e190)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="iteration"):
-                run_training(config)
+        with pytest.raises(DivergenceError, match="iteration"):
+            run_training(config)
 
     def test_overflow_inside_the_loss_on_finite_embeddings_raises_divergence_error(self):
         """Finite embeddings whose raw inner products (about 1e300) overflow
@@ -520,19 +519,17 @@ class TestRunTraining:
         only the check on the loss result can stop iteration 0."""
         config = _small_config(variant="combined_simce", loss=LossConfig(temperature=1e-10),
                                init_scale=1e150, total_iters=3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="iteration 0: loss value is non-finite"):
-                run_training(config)
+        with pytest.raises(DivergenceError, match="iteration 0: loss value is non-finite"):
+            run_training(config)
 
     def test_overflowing_embeddings_at_the_first_evaluation_raise_divergence_error(self):
         """A 1e155 init scale gives finite embeddings whose squared norms
         overflow; the iteration-0 evaluation names the row and the overflow
         instead of failing a unit-norm check further down."""
         config = _small_config(variant="combined_simce", init_scale=1e155)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match=r"iteration 0: embedding row \d+ has norm "
-                                                      r"inf: float64 overflow"):
-                run_training(config)
+        with pytest.raises(DivergenceError, match=r"iteration 0: embedding row \d+ has norm "
+                                                  r"inf: float64 overflow"):
+            run_training(config)
 
     def test_other_loss_errors_keep_their_type(self, monkeypatch):
         """Only non-finite values become DivergenceError: a zero-norm
